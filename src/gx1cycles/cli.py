@@ -356,12 +356,17 @@ def trajectory_cmd(family, path, start, steps, max_magnitude, fmt, output):
 @mapping_options
 @click.option("--max-period", type=int, required=True)
 @click.option("--budget", type=int, default=10**7, show_default=True,
-              help="largest number of branch sequences to visit")
+              help="largest number of branch sequences to visit: the "
+                   "prenecklaces of lengths 1 to --max-period")
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="json")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def oracle(family, path, max_period, budget, fmt, output):
-    """Enumerate all cycles up to a period bound exactly (fixed points of
-    every branch sequence's affine composition)."""
+    """Enumerate all cycles up to a period bound exactly.
+
+    Solves the fixed point of the affine composition of one Lyndon word
+    per necklace of branch sequences; the catalog is complete up to
+    --max-period apart from unit-slope skips.
+    """
     mapping = _resolve_mapping(family, path)
     try:
         catalog = enumerate_cycles_exact(mapping, max_period, budget=budget)
@@ -371,8 +376,9 @@ def oracle(family, path, max_period, budget, fmt, output):
         _emit(json.dumps(catalog.to_json(), indent=1), output)
         return
     lines = [f"{len(catalog)} cycles of {mapping} with period <= {max_period} "
-             f"({catalog.meta['sequences']} sequences, "
-             f"{catalog.meta['unit_slope_skipped']} unit-slope skipped)"]
+             f"({catalog.meta['sequences']} sequences visited, "
+             f"{catalog.meta['unit_slope_skipped']} unit-slope Lyndon words "
+             f"skipped)"]
     for c in catalog.cycles:
         lines.append(f"  period {c.period:>4}  min {c.min_element:>8}  {c}")
     _emit("\n".join(lines) + "\n", output)
@@ -393,9 +399,15 @@ def _parse_counts(mapping, text):
         f"--counts needs {mapping.d} values (or k1,k2 for a two-slope mapping)")
 
 
+_COUNTS_HELP = ("one count per branch, branch 0 first, or k1,k2 (growth, "
+                "division steps) on a two-slope mapping with more than two "
+                "branches; so on 3x1 a,b means a uses of x/2 (k2) and b of "
+                "(3x+1)/2 (k1)")
+
+
 @main.command("lambda")
 @mapping_options
-@click.option("--counts", required=True, help="k1,k2 or one count per branch")
+@click.option("--counts", required=True, help=_COUNTS_HELP)
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="pretty")
 @click.pass_context
 def lambda_cmd(ctx, family, path, counts, fmt):
@@ -422,7 +434,7 @@ def lambda_cmd(ctx, family, path, counts, fmt):
 
 @main.command()
 @mapping_options
-@click.option("--counts", required=True, help="k1,k2 or one count per branch")
+@click.option("--counts", required=True, help=_COUNTS_HELP)
 @click.option("--constant", default=None,
               help="bound numerator: p/q or collatz | atkin | 3x1")
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="pretty")

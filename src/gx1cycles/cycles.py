@@ -200,53 +200,85 @@ def enumerate_cycles_exact(mapping: MappingDef, max_period: int,
                            budget: int = 10**7) -> CycleCatalog:
     """All cycles with period <= max_period, by exact fixed-point solving.
 
-    Every branch sequence of length p acts as x -> (A*x + B)/d^p with
-    integer A, B; its unique fixed point B/(d^p - A) is a cycle start
-    iff it is an integer whose orbit realizes the sequence's residue
-    classes.  Sequences with slope exactly 1 (A = d^p) have no isolated
-    fixed point and are skipped and counted.  The catalog is complete up
-    to max_period apart from those skips.
+    A branch sequence w of length p acts as x -> (A*x + B)/d^p with
+    integer A, B.  When its slope A/d^p is not 1, its only fixed point is
+    B/(d^p - A), and that starts a cycle with branch word w iff it is an
+    integer whose orbit takes the branches of w.  One Lyndon word is
+    solved per necklace (rotation class) of branch sequences: the
+    Fredricksen-Kessler-Maiorana recursion (Cattell et al., J. Algorithms
+    37, 2000) walks the prenecklaces in lexicographic order, composing
+    (A, B) incrementally, and solves only at the Lyndon nodes.  The catalog
+    is still complete up to max_period, apart from unit-slope skips, and
+    each cycle is found and canonicalized exactly once:
+
+    * Read the branch word w of a p-cycle from one of its elements.  If
+      slope(w) is not 1, w is primitive: w = u^k with k > 1 would make
+      that element the fixed point of u, of period |u| < p.  So exactly
+      one rotation of w is a Lyndon word, solved from exactly one element.
+    * If slope(w) is 1 (also when slope(u) = -1 and w = u^2), every
+      rotation of w has slope 1 and is skipped; the map of w is then the
+      identity, so such cycles come in infinite families.  Skipping
+      periodic words thus loses nothing that solving them would give.
+
+    Lyndon words with slope exactly 1 are counted in
+    meta["unit_slope_skipped"], one per necklace.  Requiring the orbit to
+    take the branches of w, not only to close after p steps, matters when
+    a multiplier shares a factor with d: then a fixed point of w can close
+    on a cycle whose own word is a different one.  meta["sequences"] is
+    the number of sequences visited, the sum over p of
+    (max_period - p + 1) * L_d(p) with L_d(p) Lyndon words of length p;
+    BudgetExceededError is raised when it exceeds the budget.
     """
     if max_period < 0:
         raise ValueError("max_period must be >= 0")
     d = mapping.d
-    if max_period > 0 and d ** max_period > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {d}^{max_period} sequences, budget is {budget}")
+    # L[p] Lyndon words of length p, from d^p = sum of q*L[q] over q | p; the
+    # DFS visits sum over p of (max_period - p + 1)*L[p] prenecklaces
+    lyndon = [0] * (max_period + 1)
+    prenecklaces = sequences = 0
+    for p in range(1, max_period + 1):
+        lyndon[p] = (d ** p - sum(q * lyndon[q] for q in range(1, p)
+                                  if p % q == 0)) // p
+        prenecklaces += lyndon[p]
+        sequences += prenecklaces
+        if sequences > budget:
+            raise BudgetExceededError(
+                f"enumeration to period {max_period} visits more than "
+                f"{budget} branch sequences (the budget)")
 
     ms = [m for m, _ in mapping.branches]
     rs = [r for _, r in mapping.branches]
-    found: dict[int, Cycle] = {}
+    word = [0] * (max_period + 1)   # word[1..depth]; word[0] is a sentinel
+    found: list[Cycle] = []
     unit_slope = 0
-    sequences = 0
 
-    def visit(A: int, B: int, depth: int, dpow: int):
-        nonlocal unit_slope, sequences
-        if depth > 0:
-            sequences += 1
+    def visit(A: int, B: int, depth: int, period: int, dpow: int):
+        nonlocal unit_slope
+        if depth > 0 and period == depth:
             den = dpow - A
             if den == 0:
                 unit_slope += 1
             elif B % den == 0:
-                x0 = B // den
-                if x0 not in found:
-                    x = x0
-                    elems = []
-                    for _ in range(depth):
-                        elems.append(x)
-                        x = mapping.apply(x)[0]
-                    # fixed point is automatic; the residues must match
+                x0 = x = B // den
+                elems = []
+                for i in range(1, depth + 1):
+                    elems.append(x)
+                    x, b = mapping.apply(x)
+                    if b != word[i]:
+                        break
+                else:
                     if x == x0 and len(set(elems)) == depth:
-                        cyc = canonicalize(mapping, elems)
-                        if cyc.min_element not in found:
-                            found[cyc.min_element] = cyc
+                        found.append(canonicalize(mapping, elems))
         if depth < max_period:
-            for b in range(d):
-                visit(ms[b] * A, ms[b] * B - rs[b] * dpow, depth + 1, dpow * d)
+            low = word[depth + 1 - period]
+            for b in range(low, d):
+                word[depth + 1] = b
+                visit(ms[b] * A, ms[b] * B - rs[b] * dpow, depth + 1,
+                      period if b == low else depth + 1, dpow * d)
 
-    visit(1, 0, 0, 1)
+    visit(1, 0, 0, 1, 1)
     return CycleCatalog(
-        mapping, tuple(found.values()),
+        mapping, tuple(found),
         provenance=f"exact enumeration of all branch sequences with period <= {max_period}",
         meta={"max_period": max_period, "sequences": sequences,
               "unit_slope_skipped": unit_slope})

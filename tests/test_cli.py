@@ -203,6 +203,17 @@ class TestLambdaBound:
         payload = json.loads(res.output)
         assert abs(payload["ln_C"] - 5.0150589) < 1e-5
 
+    def test_two_counts_on_mod_2_mapping_are_per_branch(self, runner):
+        # on 3x1, "4,7" is 4 uses of x/2 and 7 of (3x+1)/2: node k1=7, k2=4
+        res = invoke(runner, "lambda", "--family", "3x1", "--counts", "4,7",
+                     "--format", "json")
+        assert json.loads(res.output)["lambda"] == "2187/2048"
+        res = invoke(runner, "bound", "--family", "3x1", "--counts", "4,7",
+                     "--format", "json")
+        payload = json.loads(res.output)
+        assert payload["k_growth"] == 7
+        assert abs(payload["ln_C"] - 3.7935996) < 1e-6
+
     def test_bound_atkin(self, runner):
         res = invoke(runner, "bound", "--family", "collatz", "--counts", "1,1",
                      "--constant", "atkin", "--format", "json")

@@ -5,7 +5,7 @@ import pytest
 import gx1cycles as gx
 from gx1cycles.cycles import (BudgetExceededError, CutoffExceededError,
                               NotAClosedCycleError)
-from gx1cycles.reference import load_bundled_catalog
+from gx1cycles.reference import catalog_path, load_bundled_catalog
 
 
 class TestCanonicalize:
@@ -102,6 +102,17 @@ class TestEnumerate:
         with pytest.raises(BudgetExceededError):
             gx.enumerate_cycles_exact(g, 20, budget=10**6)
 
+    @pytest.mark.parametrize("name, period, visited",
+                             [("collatz", 6, 331), ("3x1", 8, 167)])
+    def test_budget_counts_visited_sequences(self, name, period, visited):
+        # `visited` is the number of prenecklaces of lengths 1..period,
+        # counted by brute force over all words
+        mapping = gx.mapping_from_name(name)
+        cat = gx.enumerate_cycles_exact(mapping, period, budget=visited)
+        assert cat.meta["sequences"] == visited
+        with pytest.raises(BudgetExceededError):
+            gx.enumerate_cycles_exact(mapping, period, budget=visited - 1)
+
     def test_unit_slope_sequences_skipped_and_counted(self):
         # even -> x, odd -> x - 1: the one-step class-0 sequence has slope 1
         m = gx.validate(2, [(2, 0), (2, 2)])
@@ -128,6 +139,10 @@ class TestCatalog:
         cat.dump(path)
         again = gx.CycleCatalog.load(path)
         assert again == cat
+
+    def test_oracle_reproduces_bundled_collatz_catalog(self, g):
+        bundled = gx.CycleCatalog.load(catalog_path("collatz"))
+        assert gx.enumerate_cycles_exact(g, 12) == bundled
 
     def test_disjointness_enforced(self, g):
         c1 = gx.canonicalize(g, (4, 5, 7, 9, 6))
