@@ -11,11 +11,11 @@ from ._backend import available_backends, default_backend
 from .affine import AffineMap, branch_affine, compose_affine
 from .cycles import (BudgetExceededError, CatalogVerification, Cycle,
                      CycleCatalog, CutoffExceededError, NotAClosedCycleError,
-                     canonicalize, cycle_affine, cycle_lambda, detect_cycle,
+                     canonicalize, cycle_affine, detect_cycle,
                      enumerate_cycles_exact, verify_catalog)
 from .mappings import (DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, BranchCounts,
                        InvalidMappingError, MagnitudeCutoff, MappingDef,
-                       Trajectory, apply_map, branch_counts, carnielli_L,
+                       Trajectory, branch_counts, carnielli_L,
                        carnielli_T, collatz, mapping_from_file,
                        mapping_from_name, matthews_4branch,
                        permutation_variant, three_x_plus_one, trajectory,

@@ -2,14 +2,14 @@
 
 The compiled kernel covers values up to ~2^126; anything beyond that (or
 a mapping whose parameters are too large for it) transparently falls back
-to the pure walkers, so results never depend on which backend ran.
-
-Set GX1_BACKEND=pure or GX1_BACKEND=compiled to force a choice globally.
+to the pure walkers, so results never depend on which backend ran.  Pass
+backend="pure" or backend="compiled" to Engine (or to the searches) to
+force a choice.  An Engine is shared by every block of a search:
+search_range runs each wave of `threads` blocks on a thread pool, and
+walks keep no state on the Engine.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _pykernel
 
@@ -28,9 +28,6 @@ _KERNEL_MAX_STEPS = 1 << 59
 
 
 def default_backend() -> str:
-    env = os.environ.get("GX1_BACKEND")
-    if env in ("pure", "compiled"):
-        return env
     return "compiled" if _kernel is not None else "pure"
 
 
@@ -62,18 +59,17 @@ class Engine:
         ktable = _kernel.MemberTable(items) if self._kmap is not None else None
         return (ktable, _pykernel.MemberTable(items))
 
-    def walk_brent(self, start, max_steps, max_magnitude, tables):
+    def _walk(self, name, start, max_steps, max_magnitude, tables):
+        """Run walker `name` in the kernel, or in pure Python on OVERFLOW."""
         ktable, ptable = tables
         if self._kmap is not None and max_steps < _KERNEL_MAX_STEPS:
-            res = _kernel.walk_brent(self._kmap, start, max_steps, max_magnitude, ktable)
+            res = getattr(_kernel, name)(self._kmap, start, max_steps, max_magnitude, ktable)
             if res[0] != OVERFLOW:
                 return res
-        return _pykernel.walk_brent(self._pure_map, start, max_steps, max_magnitude, ptable)
+        return getattr(_pykernel, name)(self._pure_map, start, max_steps, max_magnitude, ptable)
+
+    def walk_brent(self, start, max_steps, max_magnitude, tables):
+        return self._walk("walk_brent", start, max_steps, max_magnitude, tables)
 
     def walk_tally(self, start, max_steps, max_magnitude, tables):
-        ktable, ptable = tables
-        if self._kmap is not None and max_steps < _KERNEL_MAX_STEPS:
-            res = _kernel.walk_tally(self._kmap, start, max_steps, max_magnitude, ktable)
-            if res[0] != OVERFLOW:
-                return res
-        return _pykernel.walk_tally(self._pure_map, start, max_steps, max_magnitude, ptable)
+        return self._walk("walk_tally", start, max_steps, max_magnitude, tables)

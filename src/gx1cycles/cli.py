@@ -20,14 +20,15 @@ from .cycles import (BudgetExceededError, enumerate_cycles_exact,
 from .mappings import (DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, MappingDef,
                        MagnitudeCutoff, mapping_from_file, mapping_from_name,
                        trajectory)
-from .nodes import (bound_C, generate_nodes, iter_nodes, lambda_exact,
-                    ln_lambda, node_family)
+from .nodes import (COLLATZ_CONSTANT, COLLATZ_CONSTANT_FROM_8,
+                    THREE_X1_CONSTANT, bound_C, generate_nodes, iter_nodes,
+                    lambda_exact, ln_lambda, node_family)
 from .reference import (check_nodes_against_reference, load_reference_table,
                         reference_depth)
 from .search import search_node, search_range
 
-NAMED_CONSTANTS = {"collatz": Fraction(7, 24), "atkin": Fraction(63, 248),
-                   "3x1": Fraction(5, 12)}
+NAMED_CONSTANTS = {"collatz": COLLATZ_CONSTANT, "atkin": COLLATZ_CONSTANT_FROM_8,
+                   "3x1": THREE_X1_CONSTANT}
 
 
 def _parse_constant(text):
@@ -445,15 +446,8 @@ def bound(ctx, family, path, counts, constant, fmt):
     mapping = _resolve_mapping(family, path)
     vec = _parse_counts(mapping, counts)
     try:
-        if mapping.two_ratio_split() is not None:
-            from .mappings import BranchCounts
-
-            bc = BranchCounts.from_counts(mapping, vec)
-            result = bound_C(mapping, bc, constant=_parse_constant(constant),
-                             precision_bits=bits)
-        else:
-            result = bound_C(mapping, vec, constant=_parse_constant(constant),
-                             precision_bits=bits)
+        result = bound_C(mapping, vec, constant=_parse_constant(constant),
+                         precision_bits=bits)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     payload = {"C": result.C, "ln_C": _round_to(result.ln_C, 7),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ._backend import NEW_CYCLE, STEP_CUTOFF, Engine
 from .affine import AffineMap, compose_affine
@@ -97,14 +96,6 @@ def canonicalize(mapping: MappingDef, raw_elements) -> Cycle:
 def cycle_affine(mapping: MappingDef, cycle: Cycle) -> AffineMap:
     """Exact affine map of one full turn around the cycle from its minimum."""
     return compose_affine(mapping, cycle.branches)
-
-
-def cycle_lambda(mapping: MappingDef, cycle: Cycle) -> Fraction:
-    """Exact slope of one full turn (the branch-ratio product)."""
-    lam = Fraction(1)
-    for b, c in enumerate(cycle.counts.counts):
-        lam *= Fraction(mapping.branches[b][0], mapping.d) ** c
-    return lam
 
 
 def detect_cycle(mapping: MappingDef, start: int,

@@ -105,11 +105,6 @@ def validate(d: int, branches: Sequence[tuple[int, int]], name: str | None = Non
     return MappingDef(int(d), tuple((int(m), int(r)) for m, r in branches), name=name)
 
 
-def apply_map(mapping: MappingDef, x: int) -> tuple[int, int]:
-    """One exact step: ((m_b*x - r_b)/d, b) with b the canonical residue of x."""
-    return mapping.apply(x)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """An iterated orbit: values[j+1] = step applied to values[j] via branches[j]."""

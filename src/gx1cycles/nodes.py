@@ -12,6 +12,7 @@ even when k grows far beyond anything a hardware float could separate.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -45,28 +46,50 @@ def default_precision_bits() -> int:
     return DEFAULT_PRECISION_BITS
 
 
-def _factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _coprime_base(numbers: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 of which every number is a product.
+
+    Factor refinement by gcds alone (Bach, Driscoll & Shallit, J.
+    Algorithms 15, 1993): a number sharing a factor g > 1 with an element
+    q is split, with q, into q/g, g and x/g.  Each split divides the
+    product of all pending numbers by g >= 2, so there are at most as
+    many splits as that product has bits.
+    """
+    base: list[int] = []
+    todo = list({n for n in numbers if n > 1})
+    while todo:
+        x = todo.pop()
+        for i, q in enumerate(base):
+            g = math.gcd(x, q)
+            if g > 1:
+                del base[i]
+                todo.extend(n for n in (q // g, g, x // g) if n > 1)
+                break
+        else:
+            base.append(x)
+    return base
 
 
 def _is_exact_one(terms: Sequence[tuple[int, int]]) -> bool:
-    """Whether prod base^coef == 1 exactly (all prime exponents cancel)."""
-    exps: dict[int, int] = {}
-    for coef, base in terms:
-        if coef == 0 or base == 1:
-            continue
-        for p, e in _factor(base).items():
-            exps[p] = exps.get(p, 0) + coef * e
-    return all(e == 0 for e in exps.values())
+    """Whether prod base^coef == 1 exactly.
+
+    Over a coprime base of the bases the product is 1 exactly when the
+    exponent of every base element cancels: moving the negative powers
+    to the other side leaves two coprime products, equal only if both
+    are 1.
+    """
+    terms = [(coef, base) for coef, base in terms if coef and base != 1]
+    if any(base < 1 for _, base in terms):
+        raise ValueError("log-linear form needs positive integer bases")
+    for q in _coprime_base(base for _, base in terms):
+        exp = 0
+        for coef, base in terms:
+            while base % q == 0:
+                base //= q
+                exp += coef
+        if exp:
+            return False
+    return True
 
 
 class _LogEvaluator:
@@ -133,33 +156,37 @@ class LnLambda(NamedTuple):
     negative: bool   # true when the exact ratio product is negative
 
 
-def lambda_exact(mapping, counts) -> Fraction:
-    """Exact reduced branch-ratio product for the given usage counts."""
-    if isinstance(mapping, NodeFamily):
-        k1, k2 = _as_pair(counts)
-        return (Fraction(mapping.m_grow, mapping.d) ** k1
-                * Fraction(mapping.m_div, mapping.d) ** k2)
+def _count_vector(mapping: MappingDef, counts) -> tuple[int, ...]:
+    """One count per branch, from a BranchCounts or a plain sequence."""
     vec = counts.counts if isinstance(counts, BranchCounts) else tuple(counts)
     if len(vec) != mapping.d:
         raise ValueError(f"need {mapping.d} counts, got {len(vec)}")
+    return vec
+
+
+def _uses(family, counts) -> list[tuple[int, int]]:
+    """(count, multiplier) pairs of a ratio product: (k1, k2) for a
+    NodeFamily, one count per branch for a MappingDef."""
+    if isinstance(family, NodeFamily):
+        k1, k2 = counts.as_pair() if isinstance(counts, BranchCounts) else map(int, counts)
+        return [(k1, family.m_grow), (k2, family.m_div)]
+    return [(c, m) for c, (m, _) in zip(_count_vector(family, counts), family.branches)]
+
+
+def _terms(d: int, uses) -> tuple[list[tuple[int, int]], bool]:
+    """coef*ln(base) terms of prod (m/d)^c over the uses, and whether the
+    product is negative."""
+    terms = [(c, abs(m)) for c, m in uses if c]
+    terms.append((-sum(c for c, _ in uses), d))
+    return terms, sum(c for c, m in uses if m < 0) % 2 == 1
+
+
+def lambda_exact(mapping, counts) -> Fraction:
+    """Exact reduced branch-ratio product for the given usage counts."""
     lam = Fraction(1)
-    for (m, _), c in zip(mapping.branches, vec):
+    for c, m in _uses(mapping, counts):
         lam *= Fraction(m, mapping.d) ** c
     return lam
-
-
-def _lambda_terms(mapping: MappingDef, vec: Sequence[int]) -> tuple[list, bool]:
-    terms = []
-    negative = False
-    k = 0
-    for (m, _), c in zip(mapping.branches, vec):
-        if c:
-            if m < 0 and c % 2 == 1:
-                negative = not negative
-            terms.append((c, abs(m)))
-            k += c
-    terms.append((-k, mapping.d))
-    return terms, negative
 
 
 def ln_lambda(mapping: MappingDef, counts, precision_bits: int | None = None) -> LnLambda:
@@ -171,10 +198,7 @@ def ln_lambda(mapping: MappingDef, counts, precision_bits: int | None = None) ->
     positive branch ratios.
     """
     bits = max(64, precision_bits or default_precision_bits())
-    vec = counts.counts if isinstance(counts, BranchCounts) else tuple(counts)
-    if len(vec) != mapping.d:
-        raise ValueError(f"need {mapping.d} counts, got {len(vec)}")
-    terms, negative = _lambda_terms(mapping, vec)
+    terms, negative = _terms(mapping.d, _uses(mapping, counts))
     if negative:
         warnings.warn("negative multiplier: ln applies to |lambda|", stacklevel=2)
     if _is_exact_one(terms):
@@ -224,7 +248,7 @@ class NodeFamily:
         return (self.ratio_div / self.ratio_grow, self.ratio_grow / self.ratio_div)
 
     def terms(self, k1: int, k2: int) -> list[tuple[int, int]]:
-        return [(k1, self.m_grow), (k2, self.m_div), (-(k1 + k2), self.d)]
+        return _terms(self.d, _uses(self, (k1, k2)))[0]
 
 
 COLLATZ_FAMILY = NodeFamily("collatz", 3, 2, 4, COLLATZ_CONSTANT)
@@ -264,13 +288,6 @@ def node_family(selector) -> NodeFamily:
     return family_for_mapping(mapping_from_name(selector))
 
 
-def _as_pair(counts) -> tuple[int, int]:
-    if isinstance(counts, BranchCounts):
-        return counts.as_pair()
-    k1, k2 = counts
-    return int(k1), int(k2)
-
-
 @dataclass(frozen=True)
 class BoundResult:
     """The bound C on the least term of any cycle with the given counts."""
@@ -284,29 +301,31 @@ class BoundResult:
 def bound_C(family, counts, constant=None, precision_bits: int | None = None) -> BoundResult:
     """C = constant / ((1/k_growth) * |ln lambda|).
 
-    `family` is a NodeFamily, a family name, or a MappingDef.  Two-slope
-    families divide |ln lambda| by k1 (growth uses); generalized
-    mappings divide by the total count outside residue class 0 and
-    require an explicit constant.  Undefined when lambda = 1 or when no
-    growth branch was used.
+    `family` is a NodeFamily or a family name, with counts (k1, k2), or
+    a MappingDef, with one count per branch (as for lambda_exact).
+    Two-slope families and mappings divide |ln lambda| by k1 (growth
+    uses); generalized mappings divide by the total count outside
+    residue class 0 and require an explicit constant.  Undefined when
+    lambda = 1 or when no growth branch was used.
     """
     bits = max(64, precision_bits or default_precision_bits())
     if isinstance(family, MappingDef) and family.two_ratio_split() is None:
-        vec = counts.counts if isinstance(counts, BranchCounts) else tuple(counts)
-        terms, negative = _lambda_terms(family, vec)
-        k_growth = sum(vec) - vec[0]
+        fam = family
+        uses = _uses(fam, counts)
+        k_growth = sum(c for c, _ in uses[1:])
         if constant is None:
             raise ValueError("generalized mappings need an explicit bound constant")
     else:
+        if isinstance(family, MappingDef):
+            counts = BranchCounts.from_counts(family, _count_vector(family, counts))
         fam = node_family(family)
-        k1, k2 = _as_pair(counts)
-        terms = fam.terms(k1, k2)
-        negative = False
-        k_growth = k1
+        uses = _uses(fam, counts)
+        k_growth = uses[0][0]
         if constant is None:
             constant = fam.constant
         if constant is None:
             raise ValueError(f"family {fam.name!r} has no default bound constant")
+    terms, negative = _terms(fam.d, uses)
     constant = Fraction(constant)
     if negative:
         warnings.warn("negative multiplier: bound applies to |lambda|", stacklevel=2)
@@ -314,11 +333,16 @@ def bound_C(family, counts, constant=None, precision_bits: int | None = None) ->
         raise ValueError("bound undefined without growth-branch uses (k_growth = 0)")
     if _is_exact_one(terms):
         raise ValueError("bound undefined for lambda exactly 1")
-    ev = _LogEvaluator(bits)
+    return BoundResult(*_bound(_LogEvaluator(bits), terms, constant, k_growth),
+                       constant, k_growth)
+
+
+def _bound(ev: _LogEvaluator, terms, constant: Fraction, k_growth: int) -> tuple[float, float]:
+    """(C, ln C) for C = constant * k_growth / |ln lambda|."""
     value = ev.tight(terms)
     with mp.workprec(ev.prec):
         C = mp.mpf(constant.numerator) / constant.denominator * k_growth / abs(value)
-        return BoundResult(float(C), float(mp.ln(C)), constant, k_growth)
+        return float(C), float(mp.ln(C))
 
 
 @dataclass(frozen=True)
@@ -369,10 +393,7 @@ def iter_nodes(family, constant=None, precision_bits: int | None = None) -> Iter
     def ln_c_of(k1: int, k2: int) -> float | None:
         if k1 == 0 or constant is None:
             return None
-        c = Fraction(constant)
-        value = ev.tight(fam.terms(k1, k2))
-        with mp.workprec(ev.prec):
-            return float(mp.ln(mp.mpf(c.numerator) / c.denominator * k1 / abs(value)))
+        return _bound(ev, fam.terms(k1, k2), Fraction(constant), k1)[1]
 
     def value_of(k1: int, k2: int) -> float:
         value = ev.tight(fam.terms(k1, k2))
@@ -427,9 +448,6 @@ def generate_nodes(family, max_main_nodes: int | None = None,
     return out
 
 
-_shared_evaluator = _LogEvaluator()
-
-
 def lambda_in_open_interval(family, k1: int, k2: int, lo, hi) -> bool:
     """Exact strict containment of the ratio product in (lo, hi).
 
@@ -439,7 +457,7 @@ def lambda_in_open_interval(family, k1: int, k2: int, lo, hi) -> bool:
     fam = node_family(family)
     base = fam.terms(k1, k2)
     lo, hi = Fraction(lo), Fraction(hi)
-    ev = _shared_evaluator
+    ev = _LogEvaluator()
     above_lo = ev.sign(base + [(-1, lo.numerator), (1, lo.denominator)])
     below_hi = ev.sign(base + [(-1, hi.numerator), (1, hi.denominator)])
     return above_lo > 0 and below_hi < 0

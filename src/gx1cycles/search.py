@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ._backend import ENTERED, MAG_CUTOFF, NEW_CYCLE, STEP_CUTOFF, Engine
 from .cycles import Cycle, CycleCatalog, canonicalize
-from .mappings import (DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, BranchCounts,
-                       MappingDef)
+from .mappings import DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, MappingDef
 from .nodes import Node, bound_C, lambda_exact
 
 _BLOCK = 4096
@@ -124,10 +122,14 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
                  threads: int = 1, backend: str | None = None) -> SearchReport:
     """Classify every start in [lo, hi] and catalog the cycles entered.
 
+    One code path serves every thread count: the range is streamed in
+    blocks of _BLOCK starts, and each wave of `threads` blocks runs on
+    the pool against the members known when the wave starts.  A wave is
+    merged, in block order, only after all of its blocks have returned.
     Starts whose Brent walk runs out of budget before confirming a cycle
-    are re-classified against the final member set, so a start counts as
-    "entered" exactly when its orbit touches a catalog cycle within
-    max_steps applications.
+    are re-classified, on the same pool, against the final member set,
+    so a start counts as "entered" exactly when its orbit touches a
+    catalog cycle within max_steps applications.
     """
     if lo > hi:
         raise ValueError(f"empty range: lo {lo} > hi {hi}")
@@ -143,49 +145,30 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     hits = Counter()
     deferred: list[int] = []
 
-    def merge_discovery(result):
-        btallies, bhits, bnew, bdeferred = result
-        tallies.update(btallies)
-        hits.update(bhits)
-        for mn, cyc in bnew.items():
-            if mn not in cycles:
-                cycles[mn] = cyc
-                cid = len(mins)
-                mins.append(mn)
-                for v in cyc.elements:
-                    members[v] = cid
-        deferred.extend(bdeferred)
-
-    blocks = list(_chunks(range(lo, hi + 1), _BLOCK))
-    if threads == 1:
-        for block in blocks:
-            merge_discovery(_discover_block(engine, mapping, block, max_steps,
-                                            max_magnitude, members, mins))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # waves: blocks inside a wave share the snapshot taken at its start
-            for wave in _chunks(blocks, threads):
-                futures = [pool.submit(_discover_block, engine, mapping, blk,
-                                       max_steps, max_magnitude, dict(members),
-                                       list(mins))
-                           for blk in wave]
-                for fut in futures:
-                    merge_discovery(fut.result())
-
-    if deferred:
-        tables = engine.member_table(members.items())
-        blocks = list(_chunks(deferred, _BLOCK))
-        if threads == 1:
-            results = [_tally_block(engine, blk, max_steps, max_magnitude, tables, mins)
-                       for blk in blocks]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for wave in _chunks(_chunks(range(lo, hi + 1), _BLOCK), threads):
+            results = list(pool.map(
+                lambda blk: _discover_block(engine, mapping, blk, max_steps,
+                                            max_magnitude, members, mins), wave))
+            for btallies, bhits, bnew, bdeferred in results:
+                tallies.update(btallies)
+                hits.update(bhits)
+                for mn, cyc in bnew.items():
+                    if mn not in cycles:
+                        cycles[mn] = cyc
+                        cid = len(mins)
+                        mins.append(mn)
+                        for v in cyc.elements:
+                            members[v] = cid
+                deferred.extend(bdeferred)
+        if deferred:
+            tables = engine.member_table(members.items())
+            for btallies, bhits in pool.map(
                     lambda blk: _tally_block(engine, blk, max_steps, max_magnitude,
-                                             tables, mins), blocks))
-        for btallies, bhits in results:
-            tallies.update(btallies)
-            hits.update(bhits)
+                                             tables, mins),
+                    _chunks(deferred, _BLOCK)):
+                tallies.update(btallies)
+                hits.update(bhits)
 
     catalog = CycleCatalog(
         mapping, tuple(cycles.values()),
@@ -303,12 +286,6 @@ def lambda_profile(mapping: MappingDef, sample_starts, horizon: int,
             records.append(ProfileRecord(start, None, None, None))
             continue
         _, step, snap = best
-        if step <= 200:
-            lam = float(lambda_exact(mapping, snap))
-        else:
-            lam = math.exp(sum(c * (math.log(abs(mapping.branches[bi][0]))
-                                    - math.log(mapping.d))
-                               for bi, c in enumerate(snap) if c))
-        bc = BranchCounts.from_counts(mapping, snap)
-        records.append(ProfileRecord(start, step, bc.counts, lam))
+        records.append(ProfileRecord(start, step, snap,
+                                     float(lambda_exact(mapping, snap))))
     return LambdaProfile(mapping, horizon, tuple(records))

@@ -102,7 +102,7 @@ def test_criterion_4_variant_3_cycles():
         h = gx.permutation_variant(3)
         six = gx.detect_cycle(h, 8)
         assert six.elements == (4, 7, 11, 8, 6, 5)
-        lam = gx.cycle_lambda(h, six)
+        lam = gx.lambda_exact(h, six.counts)
         assert lam == Fraction(512, 729)
         assert abs(float(lam) - 0.70233196159122) <= 1e-13
 

@@ -106,6 +106,6 @@ def test_negative_multiplier_mapping_end_to_end(backend):
     assert {-2, 0} <= set(cat.min_elements())
     cyc = gx.detect_cycle(mapping, 1, backend=backend)
     assert cyc.elements == (-2, -1, 1)
-    assert gx.cycle_lambda(mapping, cyc) == Fraction(9, 8)
+    assert gx.lambda_exact(mapping, cyc.counts) == Fraction(9, 8)
     report = gx.search_range(mapping, -20, 20, max_steps=1000, backend=backend)
     assert cyc.elements in {c.elements for c in report.catalog.cycles}

@@ -34,16 +34,16 @@ class TestValidate:
 
 class TestApply:
     def test_collatz_steps(self, g):
-        assert gx.apply_map(g, 2) == (3, 2)
-        assert gx.apply_map(g, 44) == (59, 2)
+        assert g.apply(2) == (3, 2)
+        assert g.apply(44) == (59, 2)
 
     def test_3x1_step(self, t31):
-        assert gx.apply_map(t31, 3) == (5, 1)
+        assert t31.apply(3) == (5, 1)
 
     def test_negative_values_use_canonical_residue(self, mat):
         # -330 = 4*(-83) + 2, so the residue-2 branch applies
-        assert gx.apply_map(mat, -330) == (-413, 2)
-        assert gx.apply_map(mat, -1756) == (-439, 0)
+        assert mat.apply(-330) == (-413, 2)
+        assert mat.apply(-1756) == (-439, 0)
 
 
 class TestTrajectory:

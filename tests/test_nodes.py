@@ -1,4 +1,7 @@
+import contextlib
 import math
+import random
+import signal
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,7 +9,22 @@ import pytest
 
 import gx1cycles as gx
 from gx1cycles.nodes import (COLLATZ_FAMILY, THREE_X1_FAMILY, NodeFamily,
-                             family_for_mapping, lambda_in_open_interval)
+                             _is_exact_one, family_for_mapping,
+                             lambda_in_open_interval)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(_signum, _frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestLambdaExact:
@@ -85,6 +103,42 @@ class TestLnLambda:
         assert gx.lambda_exact(m, (1, 3)) < 0
 
 
+class TestExactOne:
+    def test_large_prime_bases_return(self):
+        # trial division of a base near 2^61 takes about 10^9 steps
+        big = 2**61 - 1
+        with _deadline(20):
+            assert lambda_in_open_interval(COLLATZ_FAMILY, 3, 2, Fraction(1, big), 2)
+            ln = gx.ln_lambda(gx.validate(2, [(1, 0), (big, 1)]), (1, 1))
+        assert float(ln.value) == pytest.approx(math.log(big / 4))
+
+    def test_shared_factors_cancel(self):
+        big = 2**61 - 1
+        assert _is_exact_one([(2, 6), (-1, 4), (-2, 3)])
+        assert not _is_exact_one([(1, 6), (-1, 4)])
+        with _deadline(20):
+            assert _is_exact_one([(1, 3 * big), (-1, big), (-1, 3)])
+            assert _is_exact_one([(3, big * big), (-6, big), (0, 7), (5, 1)])
+            assert not _is_exact_one([(1, 2 * big), (-1, 2 * (big + 2))])
+
+    def test_non_positive_base_rejected(self):
+        with pytest.raises(ValueError, match="positive integer bases"):
+            lambda_in_open_interval(COLLATZ_FAMILY, 3, 2, 0, 2)
+
+    def test_agrees_with_fractions(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            terms = [(rng.randint(-3, 3), rng.randint(1, 60))
+                     for _ in range(rng.randint(1, 4))]
+            # make about half of the products exactly 1
+            if rng.random() < 0.5:
+                terms += [(-coef, base) for coef, base in terms]
+                rng.shuffle(terms)
+            exact = math.prod((Fraction(base) ** coef for coef, base in terms),
+                              start=Fraction(1))
+            assert _is_exact_one(terms) == (exact == 1), terms
+
+
 class TestRhoMax:
     def test_values(self):
         assert gx.rho_max(0) == 0
@@ -149,6 +203,17 @@ class TestBoundC:
         result = gx.bound_C(h, counts)
         assert result.constant == Fraction(7, 24)
         assert result.k_growth == 3
+
+    @pytest.mark.parametrize("selector,vector,pair", [
+        ("collatz", (5, 3, 4), (7, 5)),     # division branch 0
+        ("3x1", (4, 7), (7, 4)),            # branch 0 is x/2, branch 1 (3x+1)/2
+        ("perm:3", (3, 4, 5), (7, 5)),      # division branch 2
+    ])
+    def test_mapping_reads_one_count_per_branch(self, selector, vector, pair):
+        mapping = gx.mapping_from_name(selector)
+        result = gx.bound_C(mapping, vector)
+        assert result == gx.bound_C(gx.node_family(mapping), pair)
+        assert result.k_growth == pair[0]
 
 
 class TestGenerateNodes:

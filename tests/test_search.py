@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 import gx1cycles as gx
+from gx1cycles import search
 from gx1cycles.nodes import COLLATZ_FAMILY, THREE_X1_FAMILY
 
 
@@ -56,6 +58,28 @@ class TestSearchRange:
         a, b = base.to_json(), other.to_json()
         a.pop("backend"), b.pop("backend")
         assert a == b
+
+    @pytest.mark.parametrize("selector,lo,hi", [("matthews", -2000, 2000),
+                                                ("collatz", 1, 3000)])
+    def test_small_blocks_agree_across_waves(self, monkeypatch, selector, lo, hi):
+        # 64-start blocks give many blocks and many waves of 2 or 3 blocks;
+        # frequent thread switches expose a merge that races a running block
+        monkeypatch.setattr(search, "_BLOCK", 64)
+        mapping = gx.mapping_from_name(selector)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reports = [gx.search_range(mapping, lo, hi, max_steps=1000,
+                                       threads=threads, backend=backend)
+                       for threads in (1, 2, 3) for backend in gx.available_backends()]
+        finally:
+            sys.setswitchinterval(interval)
+        payloads = [r.to_json() for r in reports]
+        for payload in payloads:
+            payload.pop("backend")
+        for report, payload in zip(reports, payloads):
+            assert report == reports[0]
+            assert payload == payloads[0]
 
     def test_matthews_17(self, mat):
         report = gx.search_range(mat, -6000, 6000, max_steps=10**5)
@@ -148,6 +172,12 @@ class TestLambdaProfile:
         rec = gx.lambda_profile(g, [4], horizon=100).records[0]
         assert rec.step == 5
         assert rec.lam == pytest.approx(float(Fraction(256, 243)))
+
+    def test_long_return_is_correctly_rounded(self, mat):
+        # start 6 returns at step 1747, where a sum of float logs is off
+        rec = gx.lambda_profile(mat, [6], horizon=2000).records[0]
+        assert rec.step == 1747
+        assert rec.lam == float(gx.lambda_exact(mat, rec.counts))
 
     def test_degenerate_horizon_one(self, g):
         profile = gx.lambda_profile(g, [3, 4, 5], horizon=1)
