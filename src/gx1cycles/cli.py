@@ -2,7 +2,7 @@
 
 Subcommands: nodes, search, search-node, verify, trajectory, oracle,
 lambda, bound.  Exit codes: 0 ok, 1 verification failure, 2 usage error.
-GX1_PRECISION_BITS sets the default precision for the log computations.
+The precision of the log computations is chosen and raised automatically.
 """
 
 from __future__ import annotations
@@ -47,16 +47,25 @@ def _parse_bigint(_ctx, _param, value):
     if value is None:
         return None
     try:
-        return int(value)
+        cutoff = int(value)
     except ValueError:
-        pass
+        try:
+            frac = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise click.UsageError(f"bad integer {value!r}")
+        if frac.denominator != 1:
+            raise click.UsageError(f"cutoff must be an integer, got {value!r}")
+        cutoff = frac.numerator
+    if cutoff < 1:
+        raise click.UsageError(f"cutoff must be positive, got {value!r}")
+    return cutoff
+
+
+def _node_family(selector):
     try:
-        frac = Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"bad integer {value!r}")
-    if frac.denominator != 1:
-        raise click.UsageError(f"cutoff must be an integer, got {value!r}")
-    return frac.numerator
+        return node_family(selector)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _resolve_mapping(family, path) -> MappingDef:
@@ -104,15 +113,8 @@ def mapping_options(fn):
 
 @click.group()
 @click.version_option(__version__)
-@click.option("--precision-bits", type=int, default=None,
-              envvar="GX1_PRECISION_BITS",
-              help="bits for the high-precision logs (default 256, min 64)")
-@click.pass_context
-def main(ctx, precision_bits):
+def main():
     """Cycle machinery for generalized 3x+1 mappings."""
-    if precision_bits is not None and precision_bits < 64:
-        raise click.UsageError("--precision-bits must be >= 64")
-    ctx.obj = {"precision_bits": precision_bits}
 
 
 # --- nodes -------------------------------------------------------------------
@@ -151,7 +153,7 @@ def _nodes_pretty(rows):
               help="two-slope family: collatz, 3x1, or a mapping selector")
 @click.option("--depth", type=int, default=None, help="largest main node index")
 @click.option("--max-k", type=int, default=None)
-@click.option("--max-nodes", type=int, default=None)
+@click.option("--max-nodes", type=click.IntRange(min=0), default=None)
 @click.option("--constant", default=None,
               help="bound numerator: p/q or collatz | atkin | 3x1")
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json", "csv"]),
@@ -169,13 +171,12 @@ def nodes(ctx, family, depth, max_k, max_nodes, constant, fmt, output, check_pap
     permutation families follow the lexicographic completion of the four
     conventional orderings.
     """
-    bits = ctx.obj.get("precision_bits")
-    fam = node_family(family)
+    fam = _node_family(family)
     constant = _parse_constant(constant)
     if check_paper:
         table = load_reference_table(fam.name)
         nodes_list = generate_nodes(fam, max_main_nodes=reference_depth(table),
-                                    constant=constant, precision_bits=bits)
+                                    constant=constant)
         checks = check_nodes_against_reference(nodes_list, table)
         bad = [c for c in checks if not c.ok]
         for c in checks:
@@ -188,8 +189,7 @@ def nodes(ctx, family, depth, max_k, max_nodes, constant, fmt, output, check_pap
     if depth is None and max_k is None and max_nodes is None:
         depth = 7
     nodes_list = generate_nodes(fam, max_main_nodes=depth, max_k=max_k,
-                                max_nodes=max_nodes, constant=constant,
-                                precision_bits=bits)
+                                max_nodes=max_nodes, constant=constant)
     rows = _node_rows(nodes_list)
     if fmt == "json":
         _emit(json.dumps({"family": fam.name, "rows": rows}, indent=1), output)
@@ -233,7 +233,8 @@ def _report_text(report, fmt):
 @mapping_options
 @click.option("--lo", type=int, required=True)
 @click.option("--hi", type=int, required=True)
-@click.option("--max-steps", type=int, default=DEFAULT_MAX_STEPS, show_default=True)
+@click.option("--max-steps", type=click.IntRange(min=0), default=DEFAULT_MAX_STEPS,
+              show_default=True)
 @click.option("--max-magnitude", callback=_parse_bigint, default=str(DEFAULT_MAX_MAGNITUDE),
               show_default=True)
 @click.option("--threads", type=int, default=1, show_default=True)
@@ -257,24 +258,22 @@ def search(family, path, lo, hi, max_steps, max_magnitude, threads, fmt, output)
 @click.option("--constant", default=None)
 @click.option("--signed", type=click.Choice(["positive", "negative", "both"]),
               default=None, help="range sign (default: family convention)")
-@click.option("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+@click.option("--max-steps", type=click.IntRange(min=0), default=DEFAULT_MAX_STEPS)
 @click.option("--max-magnitude", callback=_parse_bigint, default=str(DEFAULT_MAX_MAGNITUDE))
 @click.option("--threads", type=int, default=1)
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json", "csv"]),
               default="pretty")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
-def search_node_cmd(ctx, family, path, k1, k2, constant, signed, max_steps,
+def search_node_cmd(family, path, k1, k2, constant, signed, max_steps,
                     max_magnitude, threads, fmt, output):
     """Search the range allowed by a node's bound C, keeping its cycles.
 
     (k1, k2) must be a node of the family's PP/PG walk.
     """
-    bits = ctx.obj.get("precision_bits")
     mapping = _resolve_mapping(family, path)
-    fam = node_family(mapping)
+    fam = _node_family(mapping)
     node = None
-    for n in iter_nodes(fam, constant=_parse_constant(constant), precision_bits=bits):
+    for n in iter_nodes(fam, constant=_parse_constant(constant)):
         if (n.k1, n.k2) == (k1, k2):
             node = n
             break
@@ -312,7 +311,7 @@ def verify(ctx, catalog):
 @main.command("trajectory")
 @mapping_options
 @click.option("--start", type=int, required=True)
-@click.option("--steps", type=int, required=True)
+@click.option("--steps", type=click.IntRange(min=0), required=True)
 @click.option("--max-magnitude", callback=_parse_bigint, default=str(DEFAULT_MAX_MAGNITUDE))
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="pretty")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -355,7 +354,7 @@ def trajectory_cmd(family, path, start, steps, max_magnitude, fmt, output):
 
 @main.command()
 @mapping_options
-@click.option("--max-period", type=int, required=True)
+@click.option("--max-period", type=click.IntRange(min=0), required=True)
 @click.option("--budget", type=int, default=10**7, show_default=True,
               help="largest number of branch sequences to visit: the "
                    "prenecklaces of lengths 1 to --max-period")
@@ -406,23 +405,38 @@ _COUNTS_HELP = ("one count per branch, branch 0 first, or k1,k2 (growth, "
                 "(3x+1)/2 (k1)")
 
 
+def _fraction_text(mapping, vec, lam):
+    try:
+        return f"{lam.numerator}/{lam.denominator}"
+    except ValueError:    # more digits than int-to-str conversion allows
+        uses = {}
+        for c, (m, _) in zip(vec, mapping.branches):
+            if c:
+                uses[m] = uses.get(m, 0) + c
+        num = "*".join(f"{m}^{c}" if m > 0 else f"({m})^{c}" for m, c in sorted(uses.items()))
+        return f"{num}/{mapping.d}^{sum(vec)}"
+
+
 @main.command("lambda")
 @mapping_options
 @click.option("--counts", required=True, help=_COUNTS_HELP)
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="pretty")
-@click.pass_context
-def lambda_cmd(ctx, family, path, counts, fmt):
-    """Exact branch-ratio product for given usage counts."""
-    bits = ctx.obj.get("precision_bits")
+def lambda_cmd(family, path, counts, fmt):
+    """Exact branch-ratio product for given usage counts.
+
+    The product is printed as p/q, or, when p or q has more digits than
+    Python converts to text, as the unreduced product of powers
+    m^c/d^k over the branch multipliers m.
+    """
     mapping = _resolve_mapping(family, path)
     vec = _parse_counts(mapping, counts)
     lam = lambda_exact(mapping, vec)
-    ln = ln_lambda(mapping, vec, precision_bits=bits)
+    ln = ln_lambda(mapping, vec)
     try:
         decimal = f"{float(lam):.15f}"
     except OverflowError:
         decimal = None
-    payload = {"counts": list(vec), "lambda": f"{lam.numerator}/{lam.denominator}",
+    payload = {"counts": list(vec), "lambda": _fraction_text(mapping, vec, lam),
                "decimal": decimal, "ln_lambda": float(ln.value),
                "negative": ln.negative}
     if fmt == "json":
@@ -439,15 +453,12 @@ def lambda_cmd(ctx, family, path, counts, fmt):
 @click.option("--constant", default=None,
               help="bound numerator: p/q or collatz | atkin | 3x1")
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="pretty")
-@click.pass_context
-def bound(ctx, family, path, counts, constant, fmt):
+def bound(family, path, counts, constant, fmt):
     """Bound C on the least term of a cycle with the given counts."""
-    bits = ctx.obj.get("precision_bits")
     mapping = _resolve_mapping(family, path)
     vec = _parse_counts(mapping, counts)
     try:
-        result = bound_C(mapping, vec, constant=_parse_constant(constant),
-                         precision_bits=bits)
+        result = bound_C(mapping, vec, constant=_parse_constant(constant))
     except ValueError as exc:
         raise click.ClickException(str(exc))
     payload = {"C": result.C, "ln_C": _round_to(result.ln_C, 7),

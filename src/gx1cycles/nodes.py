@@ -12,8 +12,8 @@ even when k grows far beyond anything a hardware float could separate.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,27 +23,15 @@ import mpmath as mp
 
 from .mappings import BranchCounts, MappingDef
 
+# Working precision every log evaluation starts from; evaluators raise it
+# themselves whenever a decision or a tolerance needs more bits.
 DEFAULT_PRECISION_BITS = 256
-PRECISION_ENV_VAR = "GX1_PRECISION_BITS"
 
 # Bound numerators established for the two canonical families; the
 # tighter Collatz constant is only valid from least term 8 up.
 COLLATZ_CONSTANT = Fraction(7, 24)
 COLLATZ_CONSTANT_FROM_8 = Fraction(63, 248)
 THREE_X1_CONSTANT = Fraction(5, 12)
-
-
-def default_precision_bits() -> int:
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw:
-        try:
-            bits = int(raw)
-        except ValueError:
-            raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}")
-        if bits < 64:
-            raise ValueError(f"{PRECISION_ENV_VAR} must be >= 64, got {bits}")
-        return bits
-    return DEFAULT_PRECISION_BITS
 
 
 def _coprime_base(numbers: Iterable[int]) -> list[int]:
@@ -95,14 +83,18 @@ def _is_exact_one(terms: Sequence[tuple[int, int]]) -> bool:
 class _LogEvaluator:
     """Sum of coef*ln(base) terms with a certified error bound.
 
-    Working precision only grows; per-precision logarithms are cached so
-    repeated evaluations (the node walk does thousands) stay cheap.
+    Evaluation starts at DEFAULT_PRECISION_BITS (or the given bits) and
+    doubles the working precision until the caller's test on (value,
+    error bound) passes: `sign` until the sign is certain, `tight` until
+    the error meets fixed tolerances.  Precision only grows;
+    per-precision logarithms are cached so repeated evaluations (the
+    node walk does thousands) stay cheap.
     """
 
     MAX_PREC = 1 << 24
 
-    def __init__(self, prec_bits: int | None = None):
-        self.prec = max(64, prec_bits or default_precision_bits())
+    def __init__(self, prec_bits: int = DEFAULT_PRECISION_BITS):
+        self.prec = prec_bits
         self._cache: dict[tuple[int, int], mp.mpf] = {}
 
     def _ln(self, base: int) -> mp.mpf:
@@ -127,27 +119,31 @@ class _LogEvaluator:
             err = scale * mp.mpf(2) ** (5 - self.prec) * (len(terms) + 1)
             return total, err
 
+    def _refine(self, terms: Sequence[tuple[int, int]], done):
+        """(value, error_bound) at the first precision, doubling from the
+        current one, at which done(value, error_bound) holds."""
+        while True:
+            value, err = self.evaluate(terms)
+            if done(value, err):
+                return value, err
+            if self.prec >= self.MAX_PREC:
+                raise ArithmeticError("log-linear form did not resolve")
+            self.prec *= 2
+
     def sign(self, terms: Sequence[tuple[int, int]]) -> int:
         """Exact sign of sum coef*ln(base); raises precision as needed."""
         if _is_exact_one(terms):
             return 0
-        while True:
-            value, err = self.evaluate(terms)
-            if abs(value) > err:
-                return 1 if value > 0 else -1
-            if self.prec >= self.MAX_PREC:
-                raise ArithmeticError("sign of log-linear form did not resolve")
-            self.prec *= 2
+        value, _ = self._refine(terms, lambda value, err: abs(value) > err)
+        return 1 if value > 0 else -1
 
     def tight(self, terms: Sequence[tuple[int, int]]):
         """Value with error below 2^-96 absolute and 2^-64 relative."""
-        while True:
-            value, err = self.evaluate(terms)
-            if err <= mp.mpf(2) ** -96 and (value == 0 or err <= abs(value) * mp.mpf(2) ** -64):
-                return value
-            if self.prec >= self.MAX_PREC:
-                raise ArithmeticError("log-linear form did not converge")
-            self.prec *= 2
+        def done(value, err):
+            return err <= mp.mpf(2) ** -96 and (
+                value == 0 or err <= abs(value) * mp.mpf(2) ** -64)
+
+        return self._refine(terms, done)[0]
 
 
 class LnLambda(NamedTuple):
@@ -189,7 +185,8 @@ def lambda_exact(mapping, counts) -> Fraction:
     return lam
 
 
-def ln_lambda(mapping: MappingDef, counts, precision_bits: int | None = None) -> LnLambda:
+def ln_lambda(mapping: MappingDef, counts,
+              precision_bits: int = DEFAULT_PRECISION_BITS) -> LnLambda:
     """High-precision ln of |lambda| with a certified error bound.
 
     The bound is kept below 2^-(precision_bits - 8).  Negative
@@ -197,19 +194,15 @@ def ln_lambda(mapping: MappingDef, counts, precision_bits: int | None = None) ->
     flag is set (with a warning), since the bound theory assumes
     positive branch ratios.
     """
-    bits = max(64, precision_bits or default_precision_bits())
+    bits = max(64, precision_bits)
     terms, negative = _terms(mapping.d, _uses(mapping, counts))
     if negative:
         warnings.warn("negative multiplier: ln applies to |lambda|", stacklevel=2)
     if _is_exact_one(terms):
         return LnLambda(mp.mpf(0), mp.mpf(0), negative)
     target = mp.mpf(2) ** (8 - bits)
-    ev = _LogEvaluator(bits + 16)
-    while True:
-        value, err = ev.evaluate(terms)
-        if err <= target:
-            return LnLambda(value, err, negative)
-        ev.prec *= 2
+    value, err = _LogEvaluator(bits + 16)._refine(terms, lambda _, err: err <= target)
+    return LnLambda(value, err, negative)
 
 
 def rho_max(k1: int) -> Fraction:
@@ -298,7 +291,7 @@ class BoundResult:
     k_growth: int
 
 
-def bound_C(family, counts, constant=None, precision_bits: int | None = None) -> BoundResult:
+def bound_C(family, counts, constant=None) -> BoundResult:
     """C = constant / ((1/k_growth) * |ln lambda|).
 
     `family` is a NodeFamily or a family name, with counts (k1, k2), or
@@ -308,7 +301,6 @@ def bound_C(family, counts, constant=None, precision_bits: int | None = None) ->
     residue class 0 and require an explicit constant.  Undefined when
     lambda = 1 or when no growth branch was used.
     """
-    bits = max(64, precision_bits or default_precision_bits())
     if isinstance(family, MappingDef) and family.two_ratio_split() is None:
         fam = family
         uses = _uses(fam, counts)
@@ -333,13 +325,13 @@ def bound_C(family, counts, constant=None, precision_bits: int | None = None) ->
         raise ValueError("bound undefined without growth-branch uses (k_growth = 0)")
     if _is_exact_one(terms):
         raise ValueError("bound undefined for lambda exactly 1")
-    return BoundResult(*_bound(_LogEvaluator(bits), terms, constant, k_growth),
-                       constant, k_growth)
+    ev = _LogEvaluator()
+    return BoundResult(*_bound(ev, ev.tight(terms), constant, k_growth), constant, k_growth)
 
 
-def _bound(ev: _LogEvaluator, terms, constant: Fraction, k_growth: int) -> tuple[float, float]:
-    """(C, ln C) for C = constant * k_growth / |ln lambda|."""
-    value = ev.tight(terms)
+def _bound(ev: _LogEvaluator, value, constant: Fraction, k_growth: int) -> tuple[float, float]:
+    """(C, ln C) for C = constant * k_growth / |ln lambda|, given the
+    value of ln lambda that `ev` evaluated."""
     with mp.workprec(ev.prec):
         C = mp.mpf(constant.numerator) / constant.denominator * k_growth / abs(value)
         return float(C), float(mp.ln(C))
@@ -378,7 +370,7 @@ class Node:
                 "lambda": self.value, "ln_C": self.ln_c}
 
 
-def iter_nodes(family, constant=None, precision_bits: int | None = None) -> Iterator[Node]:
+def iter_nodes(family, constant=None) -> Iterator[Node]:
     """The PP/PG walk: seeds first, then one node per product, forever.
 
     Each product PP*PG replaces the side it lands on; the main index i
@@ -388,28 +380,28 @@ def iter_nodes(family, constant=None, precision_bits: int | None = None) -> Iter
     fam = node_family(family)
     if constant is None:
         constant = fam.constant
-    ev = _LogEvaluator(precision_bits)
+    ev = _LogEvaluator()
 
-    def ln_c_of(k1: int, k2: int) -> float | None:
-        if k1 == 0 or constant is None:
-            return None
-        return _bound(ev, fam.terms(k1, k2), Fraction(constant), k1)[1]
-
-    def value_of(k1: int, k2: int) -> float:
-        value = ev.tight(fam.terms(k1, k2))
+    def node(i: int, j: int, side: str, k1: int, k2: int, terms) -> Node:
+        value = ev.tight(terms)
         with mp.workprec(ev.prec):
-            return float(mp.exp(value))
+            lam = float(mp.exp(value))
+        ln_c = None
+        if k1 and constant is not None:
+            ln_c = _bound(ev, value, Fraction(constant), k1)[1]
+        return Node(fam, i, j, side, k1, k2, lam, ln_c)
 
     pp = (0, 1)
     pg = (1, 0)
-    yield Node(fam, 1, 1, "PP", *pp, value_of(*pp), ln_c_of(*pp))
-    yield Node(fam, 1, 1, "PG", *pg, value_of(*pg), ln_c_of(*pg))
+    yield node(1, 1, "PP", *pp, fam.terms(*pp))
+    yield node(1, 1, "PG", *pg, fam.terms(*pg))
 
     i, j = 1, 1
     prev_side = None
     while True:
         k1, k2 = pp[0] + pg[0], pp[1] + pg[1]
-        s = ev.sign(fam.terms(k1, k2))
+        terms = fam.terms(k1, k2)
+        s = ev.sign(terms)
         if s == 0:
             raise ArithmeticError("ratio product hit exactly 1; family is degenerate")
         side = "PP" if s < 0 else "PG"
@@ -422,12 +414,12 @@ def iter_nodes(family, constant=None, precision_bits: int | None = None) -> Iter
             prev_side = side
         else:
             j += 1
-        yield Node(fam, i, j, side, k1, k2, value_of(k1, k2), ln_c_of(k1, k2))
+        yield node(i, j, side, k1, k2, terms)
 
 
 def generate_nodes(family, max_main_nodes: int | None = None,
                    max_k: int | None = None, max_nodes: int | None = None,
-                   constant=None, precision_bits: int | None = None) -> list[Node]:
+                   constant=None) -> list[Node]:
     """Nodes of the PP/PG walk up to a stop condition.
 
     max_main_nodes bounds the main index of emitted products (the two
@@ -437,14 +429,12 @@ def generate_nodes(family, max_main_nodes: int | None = None,
     if max_main_nodes is None and max_k is None and max_nodes is None:
         raise ValueError("need a stop condition (max_main_nodes, max_k or max_nodes)")
     out: list[Node] = []
-    for node in iter_nodes(family, constant=constant, precision_bits=precision_bits):
+    for node in itertools.islice(iter_nodes(family, constant=constant), max_nodes):
         if node.i > 1 and max_main_nodes is not None and node.i > max_main_nodes:
             break
         if max_k is not None and node.k > max_k:
             break
         out.append(node)
-        if max_nodes is not None and len(out) >= max_nodes:
-            break
     return out
 
 

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import re
+import shlex
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -64,9 +68,11 @@ class TestNodes:
             else:
                 assert jr["ln_C"] == float(cr["ln_C"])
 
-    def test_precision_option_validated(self, runner):
-        res = runner.invoke(main, ["--precision-bits", "32", "nodes"])
+    def test_precision_option_removed(self, runner):
+        # precision is chosen by the log evaluator, not by the user
+        res = runner.invoke(main, ["--precision-bits", "256", "nodes"])
         assert res.exit_code == 2
+        assert "No such option" in res.output
 
 
 class TestSearch:
@@ -214,6 +220,23 @@ class TestLambdaBound:
         assert payload["k_growth"] == 7
         assert abs(payload["ln_C"] - 3.7935996) < 1e-6
 
+    @pytest.mark.parametrize("counts,text,value,decimal", [
+        ("6475,9126,0", "2^6475*4^9126/3^15601",
+         Fraction(2**6475 * 4**9126, 3**15601), "1.000018194753893"),
+        ("0,9126,6475", "4^15601/3^15601", Fraction(4**15601, 3**15601), None),
+    ])
+    def test_lambda_too_long_for_p_q_stays_exact(self, runner, counts, text, value,
+                                                 decimal):
+        # p and q have more digits than Python converts to text by default
+        res = invoke(runner, "lambda", "--family", "collatz", "--counts", counts,
+                     "--format", "json")
+        payload = json.loads(res.output)
+        vec = tuple(int(c) for c in counts.split(","))
+        assert payload["lambda"] == text
+        assert value == gx.lambda_exact(gx.collatz(), vec)
+        assert payload["decimal"] == decimal
+        assert payload["ln_lambda"] == float(gx.ln_lambda(gx.collatz(), vec).value)
+
     def test_bound_atkin(self, runner):
         res = invoke(runner, "bound", "--family", "collatz", "--counts", "1,1",
                      "--constant", "atkin", "--format", "json")
@@ -226,3 +249,33 @@ class TestLambdaBound:
         res = invoke(runner, "bound", "--family", "matthews", "--counts",
                      "1,1,1,1", "--constant", "1/4", "--format", "json")
         assert json.loads(res.output)["k_growth"] == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle", "--family", "collatz", "--max-period", "-1"],
+    ["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--max-steps", "-1"],
+    ["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--max-magnitude", "0"],
+    ["trajectory", "--family", "collatz", "--start", "4", "--steps", "-1"],
+    ["nodes", "--family", "matthews"],
+    ["nodes", "--max-nodes", "-1"],
+    ["search-node", "--family", "matthews", "--k1", "1", "--k2", "1"],
+], ids=" ".join)
+def test_bad_argument_is_usage_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("gx1cycles ")]
+
+
+@pytest.mark.parametrize("args", [
+    args for args in _readme_commands()
+    if not {"--file", "verify", "--output"} & set(args)
+], ids=" ".join)
+def test_readme_command_line_examples_run(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output

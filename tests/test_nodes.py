@@ -9,7 +9,7 @@ import pytest
 
 import gx1cycles as gx
 from gx1cycles.nodes import (COLLATZ_FAMILY, THREE_X1_FAMILY, NodeFamily,
-                             _is_exact_one, family_for_mapping,
+                             _is_exact_one, _LogEvaluator, family_for_mapping,
                              lambda_in_open_interval)
 
 
@@ -255,6 +255,34 @@ class TestGenerateNodes:
     def test_max_k_stop(self):
         nodes = gx.generate_nodes(COLLATZ_FAMILY, max_k=53)
         assert nodes[-1].k == 53 and (nodes[-1].k1, nodes[-1].k2) == (31, 22)
+
+    @pytest.mark.parametrize("max_nodes", [0, 1, 2, 7])
+    def test_max_nodes_is_the_node_count(self, max_nodes):
+        assert len(gx.generate_nodes(COLLATZ_FAMILY, max_nodes=max_nodes)) == max_nodes
+
+    def test_one_tight_evaluation_per_node(self, monkeypatch):
+        # one `sign` and one `tight` per product node, one `tight` per seed;
+        # each precision doubling adds one more evaluation
+        precs = []
+        evaluate = _LogEvaluator.evaluate
+
+        def counted(self, terms):
+            precs.append(self.prec)
+            return evaluate(self, terms)
+
+        monkeypatch.setattr(_LogEvaluator, "evaluate", counted)
+        nodes = gx.generate_nodes(COLLATZ_FAMILY, max_nodes=500)
+        doublings = len(set(precs)) - 1
+        assert len(nodes) == 500
+        assert len(precs) <= 2 * len(nodes) + doublings
+
+    @pytest.mark.parametrize("family", [COLLATZ_FAMILY, THREE_X1_FAMILY],
+                             ids=lambda f: f.name)
+    def test_walk_ln_c_matches_bound(self, family):
+        # rows below 450: deeper, bound_C can divide by an exact zero
+        for n in gx.generate_nodes(family, max_nodes=450)[2:]:
+            assert n.ln_c == pytest.approx(gx.bound_C(family, (n.k1, n.k2)).ln_C,
+                                           abs=1e-9), (n.k1, n.k2)
 
     def test_requires_stop_condition(self):
         with pytest.raises(ValueError, match="stop condition"):
