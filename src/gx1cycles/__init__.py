@@ -2,12 +2,9 @@
 
 Trajectory iteration, cycle detection and exact enumeration, the PP/PG
 node walk locating ratio products near 1, least-term bounds, and bounded
-exhaustive searches.  Hot walk loops run in a compiled kernel when the
-extension is built, with a pure-Python fallback selected at import time
-(see gx1cycles.active_backend).
+exhaustive searches.  Everything runs in pure Python on exact integers.
 """
 
-from ._backend import available_backends, default_backend
 from .affine import AffineMap, branch_affine, compose_affine
 from .cycles import (BudgetExceededError, CatalogVerification, Cycle,
                      CycleCatalog, CutoffExceededError, NotAClosedCycleError,
@@ -32,6 +29,12 @@ from .search import (LambdaProfile, ProfileRecord, SearchReport,
 __version__ = "0.1.0"
 
 
+# perfbench reads available_backends and active_backend
+def available_backends() -> tuple[str, ...]:
+    """Names of the walkers: only the pure-Python one."""
+    return ("pure",)
+
+
 def active_backend() -> str:
-    """Name of the walk backend selected at import ("compiled" or "pure")."""
-    return default_backend()
+    """Name of the walker that runs every walk."""
+    return "pure"

@@ -1,75 +1,135 @@
-"""Backend selection: compiled kernel when available, pure Python otherwise.
+"""Trajectory walkers on arbitrary-precision integers.
 
-The compiled kernel covers values up to ~2^126; anything beyond that (or
-a mapping whose parameters are too large for it) transparently falls back
-to the pure walkers, so results never depend on which backend ran.  Pass
-backend="pure" or backend="compiled" to Engine (or to the searches) to
-force a choice.  An Engine is shared by every block of a search:
-search_range runs each wave of `threads` blocks on a thread pool, and
-walks keep no state on the Engine.
+An Engine holds one mapping's parameters and runs the two per-start
+primitives of a search:
+
+  * walk_brent -- Brent cycle detection with early exit on known cycle
+    members, bounded by a step budget and a magnitude cutoff;
+  * walk_tally -- plain forward walk classifying one start against a
+    fixed member table.
+
+A member table is a plain dict from cycle member to cycle id.  An Engine
+is shared by every block of a search: search_range runs each wave of
+`threads` blocks on a thread pool, and walks keep no state on the Engine.
 """
 
 from __future__ import annotations
 
-from . import _pykernel
+ENTERED = 0        # reached a known cycle member; payload = cycle id
+NEW_CYCLE = 1      # Brent found a cycle not in the member table
+STEP_CUTOFF = 2    # budget exhausted before any classification
+MAG_CUTOFF = 3     # an iterate exceeded the magnitude cutoff
 
-try:
-    from . import _kernel
-except ImportError:  # extension not built
-    _kernel = None
-
-ENTERED = _pykernel.ENTERED
-NEW_CYCLE = _pykernel.NEW_CYCLE
-STEP_CUTOFF = _pykernel.STEP_CUTOFF
-MAG_CUTOFF = _pykernel.MAG_CUTOFF
-OVERFLOW = _pykernel.OVERFLOW
-
-_KERNEL_MAX_STEPS = 1 << 59
-
-
-def default_backend() -> str:
-    return "compiled" if _kernel is not None else "pure"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("compiled", "pure") if _kernel is not None else ("pure",)
+_kernel = None     # no compiled walker; perfbench reads this name
 
 
 class Engine:
-    """Per-mapping walk executor with automatic overflow fallback."""
+    """Per-mapping walk executor."""
 
-    def __init__(self, mapping, backend: str | None = None):
-        name = backend or default_backend()
-        if name not in ("pure", "compiled"):
-            raise ValueError(f"unknown backend {name!r}")
-        if name == "compiled" and _kernel is None:
-            raise ValueError("compiled backend requested but the extension is not built")
-        self.mapping = mapping
-        self._pure_map = _pykernel.prepare(mapping.d, mapping.branches)
-        self._kmap = None
-        if name == "compiled":
-            try:
-                self._kmap = _kernel.prepare(mapping.d, mapping.branches)
-            except ValueError:
-                self._kmap = None  # parameters outside the native range
-        self.backend_name = "compiled" if self._kmap is not None else "pure"
+    # perfbench builds Engine(mapping) during its set-up
+    def __init__(self, mapping):
+        self.d = mapping.d
+        self.ms = [m for m, _ in mapping.branches]
+        self.rs = [r for _, r in mapping.branches]
 
+    # perfbench traces this method through Engine.__dict__
     def member_table(self, items):
-        items = list(items)
-        ktable = _kernel.MemberTable(items) if self._kmap is not None else None
-        return (ktable, _pykernel.MemberTable(items))
+        """value -> cycle id lookup for known cycle members."""
+        return dict(items)
 
-    def _walk(self, name, start, max_steps, max_magnitude, tables):
-        """Run walker `name` in the kernel, or in pure Python on OVERFLOW."""
-        ktable, ptable = tables
-        if self._kmap is not None and max_steps < _KERNEL_MAX_STEPS:
-            res = getattr(_kernel, name)(self._kmap, start, max_steps, max_magnitude, ktable)
-            if res[0] != OVERFLOW:
-                return res
-        return getattr(_pykernel, name)(self._pure_map, start, max_steps, max_magnitude, ptable)
+    # perfbench traces this method through Engine.__dict__
+    def walk_brent(self, start, max_steps, max_magnitude, members):
+        """Classify one start, discovering a new cycle if the orbit closes.
 
-    def walk_brent(self, start, max_steps, max_magnitude, tables):
-        return self._walk("walk_brent", start, max_steps, max_magnitude, tables)
+        Returns (code, steps, payload):
+          ENTERED     -- payload = cycle id, steps = first index touching it
+          NEW_CYCLE   -- payload = cycle elements in orbit order from the
+                         orbit's entry point, steps = tail length (entry index)
+          STEP_CUTOFF -- payload None, steps = max_steps
+          MAG_CUTOFF  -- payload None, steps = index of the offending iterate
+        """
+        d, ms, rs = self.d, self.ms, self.rs
+        lookup = members.get
 
-    def walk_tally(self, start, max_steps, max_magnitude, tables):
-        return self._walk("walk_tally", start, max_steps, max_magnitude, tables)
+        x0 = start
+        if abs(x0) > max_magnitude:
+            return (MAG_CUTOFF, 0, None)
+        cid = lookup(x0, -1)
+        if cid >= 0:
+            return (ENTERED, 0, cid)
+        if max_steps == 0:
+            return (STEP_CUTOFF, 0, None)
+
+        def step(x):
+            b = x % d
+            return (ms[b] * x - rs[b]) // d
+
+        # Brent: teleport the tortoise to the hare at powers of two.
+        power = 1
+        lam = 1
+        tortoise = x0
+        hare = step(x0)
+        apps = 1
+        if abs(hare) > max_magnitude:
+            return (MAG_CUTOFF, 1, None)
+        cid = lookup(hare, -1)
+        if cid >= 0:
+            return (ENTERED, 1, cid)
+        while tortoise != hare:
+            if power == lam:
+                tortoise = hare
+                power <<= 1
+                lam = 0
+            if apps == max_steps:
+                return (STEP_CUTOFF, max_steps, None)
+            hare = step(hare)
+            apps += 1
+            if abs(hare) > max_magnitude:
+                return (MAG_CUTOFF, apps, None)
+            cid = lookup(hare, -1)
+            if cid >= 0:
+                return (ENTERED, apps, cid)
+            lam += 1
+
+        # Period is lam; locate the orbit's entry point into the cycle.
+        ahead = x0
+        for _ in range(lam):
+            ahead = step(ahead)
+        tail = x0
+        mu = 0
+        while tail != ahead:
+            tail = step(tail)
+            ahead = step(ahead)
+            mu += 1
+        elements = []
+        y = tail
+        for _ in range(lam):
+            elements.append(y)
+            y = step(y)
+        return (NEW_CYCLE, mu, elements)
+
+    # perfbench traces this method through Engine.__dict__
+    def walk_tally(self, start, max_steps, max_magnitude, members):
+        """Classify one start against a fixed member table.
+
+        Returns (code, steps, cycle_id); code is ENTERED, STEP_CUTOFF or
+        MAG_CUTOFF, and cycle_id is -1 unless ENTERED.
+        """
+        d, ms, rs = self.d, self.ms, self.rs
+        lookup = members.get
+
+        x = start
+        if abs(x) > max_magnitude:
+            return (MAG_CUTOFF, 0, -1)
+        for j in range(max_steps):
+            cid = lookup(x, -1)
+            if cid >= 0:
+                return (ENTERED, j, cid)
+            b = x % d
+            x = (ms[b] * x - rs[b]) // d
+            if abs(x) > max_magnitude:
+                return (MAG_CUTOFF, j + 1, -1)
+        cid = lookup(x, -1)
+        if cid >= 0:
+            return (ENTERED, max_steps, cid)
+        return (STEP_CUTOFF, max_steps, -1)

@@ -237,7 +237,7 @@ def _report_text(report, fmt):
               show_default=True)
 @click.option("--max-magnitude", callback=_parse_bigint, default=str(DEFAULT_MAX_MAGNITUDE),
               show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json", "csv"]),
               default="pretty")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -260,7 +260,7 @@ def search(family, path, lo, hi, max_steps, max_magnitude, threads, fmt, output)
               default=None, help="range sign (default: family convention)")
 @click.option("--max-steps", type=click.IntRange(min=0), default=DEFAULT_MAX_STEPS)
 @click.option("--max-magnitude", callback=_parse_bigint, default=str(DEFAULT_MAX_MAGNITUDE))
-@click.option("--threads", type=int, default=1)
+@click.option("--threads", type=click.IntRange(min=1), default=1)
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json", "csv"]),
               default="pretty")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)

@@ -101,7 +101,6 @@ def cycle_affine(mapping: MappingDef, cycle: Cycle) -> AffineMap:
 def detect_cycle(mapping: MappingDef, start: int,
                  max_steps: int = DEFAULT_MAX_STEPS,
                  max_magnitude: int = DEFAULT_MAX_MAGNITUDE,
-                 backend: str | None = None,
                  raise_on_cutoff: bool = False) -> Cycle | None:
     """The cycle the trajectory from `start` enters within the cutoffs.
 
@@ -114,9 +113,7 @@ def detect_cycle(mapping: MappingDef, start: int,
         raise ValueError("max_steps must be >= 0")
     if max_magnitude <= 0:
         raise ValueError("max_magnitude must be positive")
-    engine = Engine(mapping, backend=backend)
-    tables = engine.member_table([])
-    code, steps, payload = engine.walk_brent(start, max_steps, max_magnitude, tables)
+    code, steps, payload = Engine(mapping).walk_brent(start, max_steps, max_magnitude, {})
     if code == NEW_CYCLE:
         return canonicalize(mapping, payload)
     if not raise_on_cutoff:

@@ -4,8 +4,7 @@ A search classifies every start in a range as entering a known cycle,
 exceeding the step budget, or exceeding the magnitude cutoff.  Discovery
 runs Brent detection with a memoized member set (an early exit only:
 the final report is a pure function of the range, the cutoffs and the
-discovered catalog, so it is identical across runs, thread counts and
-backends).
+discovered catalog, so it is identical across runs and thread counts).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ class SearchReport:
     catalog: CycleCatalog
     tallies: dict[str, int]
     hits: dict[int, int]            # cycle min_element -> starts entering it
-    backend: str = field(default="", compare=False)
+    backend: str = field(default="pure", compare=False)   # perfbench reads it
     meta: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -70,17 +69,17 @@ def _chunks(seq, size):
         yield block
 
 
+# perfbench traces this name, and reads `starts` as its second argument
 def _discover_block(engine, mapping, starts, max_steps, max_magnitude,
                     base_members, base_mins):
-    members = dict(base_members)
+    members = engine.member_table(base_members.items())
     mins = list(base_mins)
-    tables = engine.member_table(members.items())
     tallies = Counter()
     hits = Counter()
     new_cycles: dict[int, Cycle] = {}
     deferred = []
     for s in starts:
-        code, _steps, payload = engine.walk_brent(s, max_steps, max_magnitude, tables)
+        code, _steps, payload = engine.walk_brent(s, max_steps, max_magnitude, members)
         if code == ENTERED:
             tallies["entered"] += 1
             hits[mins[payload]] += 1
@@ -91,7 +90,6 @@ def _discover_block(engine, mapping, starts, max_steps, max_magnitude,
             for v in cyc.elements:
                 members[v] = cid
             new_cycles[cyc.min_element] = cyc
-            tables = engine.member_table(members.items())
             tallies["entered"] += 1
             hits[cyc.min_element] += 1
         elif code == STEP_CUTOFF:
@@ -101,11 +99,12 @@ def _discover_block(engine, mapping, starts, max_steps, max_magnitude,
     return tallies, hits, new_cycles, deferred
 
 
-def _tally_block(engine, starts, max_steps, max_magnitude, tables, mins):
+# perfbench traces this name, and reads `starts` as its second argument
+def _tally_block(engine, starts, max_steps, max_magnitude, members, mins):
     tallies = Counter()
     hits = Counter()
     for s in starts:
-        code, _steps, cid = engine.walk_tally(s, max_steps, max_magnitude, tables)
+        code, _steps, cid = engine.walk_tally(s, max_steps, max_magnitude, members)
         if code == ENTERED:
             tallies["entered"] += 1
             hits[mins[cid]] += 1
@@ -119,7 +118,7 @@ def _tally_block(engine, starts, max_steps, max_magnitude, tables, mins):
 def search_range(mapping: MappingDef, lo: int, hi: int,
                  max_steps: int = DEFAULT_MAX_STEPS,
                  max_magnitude: int = DEFAULT_MAX_MAGNITUDE,
-                 threads: int = 1, backend: str | None = None) -> SearchReport:
+                 threads: int = 1) -> SearchReport:
     """Classify every start in [lo, hi] and catalog the cycles entered.
 
     One code path serves every thread count: the range is streamed in
@@ -136,7 +135,7 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     if max_steps < 0 or max_magnitude <= 0:
         raise ValueError("cutoffs must be positive")
     threads = max(1, threads)
-    engine = Engine(mapping, backend=backend)
+    engine = Engine(mapping)
 
     members: dict[int, int] = {}
     mins: list[int] = []
@@ -162,10 +161,10 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
                             members[v] = cid
                 deferred.extend(bdeferred)
         if deferred:
-            tables = engine.member_table(members.items())
+            final = engine.member_table(members.items())
             for btallies, bhits in pool.map(
                     lambda blk: _tally_block(engine, blk, max_steps, max_magnitude,
-                                             tables, mins),
+                                             final, mins),
                     _chunks(deferred, _BLOCK)):
                 tallies.update(btallies)
                 hits.update(bhits)
@@ -175,7 +174,7 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
         provenance=f"bounded search over [{lo}, {hi}]",
         meta={"max_steps": max_steps, "max_magnitude": max_magnitude})
     report = SearchReport(mapping, lo, hi, max_steps, max_magnitude, catalog,
-                          dict(tallies), dict(hits), backend=engine.backend_name)
+                          dict(tallies), dict(hits))
     assert sum(report.tallies.values()) == report.range_size
     return report
 
@@ -184,7 +183,7 @@ def search_node(mapping: MappingDef, node: Node, constant=None,
                 signed: str | None = None,
                 max_steps: int = DEFAULT_MAX_STEPS,
                 max_magnitude: int = DEFAULT_MAX_MAGNITUDE,
-                threads: int = 1, backend: str | None = None) -> SearchReport:
+                threads: int = 1) -> SearchReport:
     """Search the start range allowed by the node's bound C and keep only
     cycles whose branch counts equal the node's (k1, k2).
 
@@ -217,7 +216,7 @@ def search_node(mapping: MappingDef, node: Node, constant=None,
     else:
         raise ValueError(f"signed must be positive/negative/both, got {signed!r}")
     full = search_range(mapping, lo, hi, max_steps=max_steps,
-                        max_magnitude=max_magnitude, threads=threads, backend=backend)
+                        max_magnitude=max_magnitude, threads=threads)
     want = (node.k1, node.k2)
     kept = tuple(c for c in full.catalog.cycles
                  if c.counts.k1 is not None and c.counts.as_pair() == want)
@@ -226,7 +225,7 @@ def search_node(mapping: MappingDef, node: Node, constant=None,
     hits = {mn: n for mn, n in full.hits.items()
             if mn in {c.min_element for c in kept}}
     return SearchReport(mapping, lo, hi, max_steps, max_magnitude, catalog,
-                        full.tallies, hits, backend=full.backend, meta=meta)
+                        full.tallies, hits, meta=meta)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 import pytest
 
 import gx1cycles as gx
-from gx1cycles import _backend
 
 
 @pytest.fixture(scope="session")
@@ -22,12 +21,3 @@ def h():
 @pytest.fixture(scope="session")
 def mat():
     return gx.matthews_4branch()
-
-
-def backends():
-    return _backend.available_backends()
-
-
-@pytest.fixture(params=backends())
-def backend(request):
-    return request.param

@@ -1,115 +1,28 @@
-"""Parity between the compiled kernel and the pure-Python walkers."""
-
-import pytest
+"""The walker and the backend name that reports carry."""
 
 import gx1cycles as gx
-from gx1cycles import _pykernel
-from gx1cycles._backend import OVERFLOW, Engine, available_backends
-
-_kernel = pytest.importorskip("gx1cycles._kernel")
-
-MAPS = ["collatz", "3x1", "perm:3", "perm:5", "matthews", "carnielli-T:4",
-        "carnielli-L:5"]
-
-
-def _prepped(name):
-    mapping = gx.mapping_from_name(name)
-    return (mapping,
-            _kernel.prepare(mapping.d, mapping.branches),
-            _pykernel.prepare(mapping.d, mapping.branches))
-
-
-@pytest.mark.parametrize("name", MAPS)
-def test_walk_brent_parity(name):
-    mapping, kmap, pmap = _prepped(name)
-    kt = _kernel.MemberTable([])
-    pt = _pykernel.MemberTable([])
-    for start in list(range(-60, 61)) + [997, -997, 123456]:
-        for max_steps in (0, 1, 2, 7, 100, 10_000):
-            for mag in (10, 10**6, 10**18):
-                a = _kernel.walk_brent(kmap, start, max_steps, mag, kt)
-                b = _pykernel.walk_brent(pmap, start, max_steps, mag, pt)
-                assert a == b, (name, start, max_steps, mag)
-
-
-@pytest.mark.parametrize("name", ["collatz", "3x1", "matthews"])
-def test_walk_tally_parity(name):
-    mapping, kmap, pmap = _prepped(name)
-    cat = gx.enumerate_cycles_exact(mapping, 4)
-    items = []
-    for cid, cyc in enumerate(cat.cycles):
-        items.extend((v, cid) for v in cyc.elements)
-    kt = _kernel.MemberTable(items)
-    pt = _pykernel.MemberTable(items)
-    for start in range(-500, 501, 7):
-        for max_steps in (0, 3, 50, 5000):
-            a = _kernel.walk_tally(kmap, start, max_steps, 10**12, kt)
-            b = _pykernel.walk_tally(pmap, start, max_steps, 10**12, pt)
-            assert a == b, (name, start, max_steps)
-
-
-def test_member_table_lookup_parity():
-    items = [(44, 0), (-59, 1), (10**25, 2), (0, 3)]
-    kt = _kernel.MemberTable(items)
-    pt = _pykernel.MemberTable(items)
-    for probe in (44, -59, 10**25, 0, 1, -44, 10**25 + 1):
-        assert kt.get(probe) == pt.get(probe)
-
-
-def test_member_table_skips_values_beyond_native_range():
-    # unreachable by kernel walks, so dropping them is safe
-    kt = _kernel.MemberTable([(2**200, 0), (5, 1)])
-    assert kt.get(2**200) == -1 and kt.get(5) == 1
-
-
-def test_kernel_overflow_reported_and_engine_falls_back(g):
-    # the diverging trajectory from 8 passes 2^126 long before 10^50
-    kmap = _kernel.prepare(g.d, g.branches)
-    kt = _kernel.MemberTable([])
-    code, steps, payload = _kernel.walk_brent(kmap, 8, 10**6, 10**50, kt)
-    assert code == OVERFLOW
-
-    engine = Engine(g, backend="compiled")
-    tables = engine.member_table([])
-    res = engine.walk_brent(8, 10**6, 10**50, tables)
-    pure = Engine(g, backend="pure")
-    assert res == pure.walk_brent(8, 10**6, 10**50, pure.member_table([]))
-    assert res[0] != OVERFLOW
-
-
-def test_kernel_rejects_oversized_parameters():
-    with pytest.raises(ValueError):
-        _kernel.prepare(2, [(1, 0), (2**70, -2**70 + 2)])
-
-
-def test_engine_with_oversized_mapping_uses_pure():
-    mapping = gx.validate(2, [(2**70, 0), (3 * 2**70, -3 * 2**70 + 2)])
-    engine = Engine(mapping, backend="compiled")
-    assert engine.backend_name == "pure"
+from gx1cycles._backend import ENTERED, MAG_CUTOFF, STEP_CUTOFF, Engine
 
 
 def test_backend_names():
-    assert set(available_backends()) <= {"compiled", "pure"}
-    assert Engine(gx.collatz(), backend="pure").backend_name == "pure"
-    with pytest.raises(ValueError):
-        Engine(gx.collatz(), backend="weird")
+    assert gx.available_backends() == ("pure",)
+    assert gx.active_backend() == "pure"
+    assert gx.search_range(gx.collatz(), 1, 5).backend == "pure"
 
 
-def test_parity_across_the_int64_boundary(g):
-    # divergent walks pass 9.2e18 well before 1e25, so this exercises
-    # 128-bit arithmetic in the kernel against pure big integers
-    kmap = _kernel.prepare(g.d, g.branches)
-    pmap = _pykernel.prepare(g.d, g.branches)
-    kt, pt = _kernel.MemberTable([]), _pykernel.MemberTable([])
-    for start in (8, 27, -100, 1000):
-        a = _kernel.walk_brent(kmap, start, 10**5, 10**25, kt)
-        b = _pykernel.walk_brent(pmap, start, 10**5, 10**25, pt)
-        assert a == b and a[0] == gx._backend.MAG_CUTOFF
-
-
-def test_huge_start_handled(g, backend):
-    engine = Engine(g, backend=backend)
+def test_huge_start_handled(g):
+    engine = Engine(g)
     tables = engine.member_table([])
     big = 2**200
     code, steps, _ = engine.walk_brent(big, 100, 10**30, tables)
-    assert code == gx._backend.MAG_CUTOFF and steps == 0
+    assert code == MAG_CUTOFF and steps == 0
+    assert engine.walk_tally(big, 100, 10**30, tables) == (MAG_CUTOFF, 0, -1)
+
+
+def test_walk_tally_classifies_against_the_table(g):
+    engine = Engine(g)
+    table = engine.member_table([(44, 0), (59, 0)])
+    assert engine.walk_tally(44, 0, 10**30, table) == (ENTERED, 0, 0)
+    assert engine.walk_tally(0, 5, 10**30, table) == (STEP_CUTOFF, 5, -1)
+    # 59 -> 79 in one step
+    assert engine.walk_tally(59, 1, 10**30, engine.member_table([(79, 3)])) == (ENTERED, 1, 3)

@@ -115,6 +115,15 @@ class TestSearch:
                      "--k1", 3, "--k2", 2)
         assert res.exit_code == 0 and "4, 5, 7, 9, 6" in res.output
 
+    def test_empty_search_node_names_the_backend(self, runner):
+        # the bound gives C below 1, so no start is searched
+        args = ["search-node", "--family", "collatz", "--k1", 7, "--k2", 5,
+                "--constant", "1/1000"]
+        res = invoke(runner, *args)
+        assert res.exit_code == 0 and "(backend: pure)" in res.output
+        payload = json.loads(invoke(runner, *args, "--format", "json").output)
+        assert payload["range"] == [1, 0] and payload["backend"] == "pure"
+
     def test_search_node_rejects_non_node(self, runner):
         res = runner.invoke(main, ["search-node", "--family", "collatz",
                                    "--k1", "5", "--k2", "1"])
@@ -259,6 +268,10 @@ class TestLambdaBound:
     ["nodes", "--family", "matthews"],
     ["nodes", "--max-nodes", "-1"],
     ["search-node", "--family", "matthews", "--k1", "1", "--k2", "1"],
+    ["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--threads", "0"],
+    ["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--threads", "-5"],
+    ["search-node", "--family", "collatz", "--k1", "3", "--k2", "2", "--threads", "0"],
+    ["search-node", "--family", "collatz", "--k1", "3", "--k2", "2", "--threads", "-5"],
 ], ids=" ".join)
 def test_bad_argument_is_usage_error(runner, args):
     res = runner.invoke(main, args)

@@ -1,6 +1,6 @@
 """Cross-validation on randomly generated mappings: the enumeration
-oracle, the Brent detector and catalog verification must agree with each
-other (both backends), including for negative multipliers."""
+oracle, the Brent detector, a plain walk and catalog verification must
+agree with each other, including for negative multipliers."""
 
 import itertools
 from fractions import Fraction
@@ -30,11 +30,10 @@ def test_oracle_cycles_replay_and_detect(mapping):
     cat = gx.enumerate_cycles_exact(mapping, 4)
     assert gx.verify_catalog(mapping, cat).ok
     for cyc in cat.cycles:
-        for backend in gx.available_backends():
-            found = gx.detect_cycle(mapping, cyc.min_element, max_steps=10**4,
-                                    max_magnitude=10**24, backend=backend)
-            assert found is not None
-            assert found.elements == cyc.elements
+        found = gx.detect_cycle(mapping, cyc.min_element, max_steps=10**4,
+                                max_magnitude=10**24)
+        assert found is not None
+        assert found.elements == cyc.elements
 
 
 def _reference_cycles(mapping, max_period):
@@ -90,22 +89,75 @@ def test_oracle_matches_brute_force_reference(mapping, max_period):
         assert gx.cycle_affine(mapping, cyc).slope == 1
 
 
-@given(small_mappings(), st.integers(-300, 300))
-@settings(max_examples=80, deadline=None)
-def test_backends_agree_on_random_walks(mapping, start):
-    results = {be: gx.detect_cycle(mapping, start, max_steps=2000,
-                                   max_magnitude=10**20, backend=be)
-               for be in gx.available_backends()}
-    values = list(results.values())
-    assert all(v == values[0] for v in values)
+def _plain_walk(mapping, start, max_magnitude, budget):
+    """First event on the orbit of `start`, from a walk that remembers every value.
+
+    Returns ("magnitude", j) when iterate j is the first beyond the cutoff,
+    ("cycle", D, elements) when the orbit closes, or None when neither
+    happens within `budget` steps.  Brent's detector sees the repeat
+    x[mu] == x[mu + lam] once its tortoise sits at an index 2^k - 1 >= mu
+    with 2^k >= lam, so D = 2^k - 1 + lam is the step at which it stops.
+    Elements are in orbit order, minimum first.
+    """
+    seen = {}
+    x = start
+    for j in range(budget + 1):
+        if abs(x) > max_magnitude:
+            return ("magnitude", j)
+        if x in seen:
+            mu, lam = seen[x], j - seen[x]
+            power = 1
+            while power - 1 < mu or power < lam:
+                power <<= 1
+            elems = sorted(seen, key=seen.get)[mu:]
+            i = elems.index(min(elems))
+            return ("cycle", power - 1 + lam, tuple(elems[i:] + elems[:i]))
+        seen[x] = j
+        x, _ = mapping.apply(x)
+    return None
 
 
-def test_negative_multiplier_mapping_end_to_end(backend):
+def _expected(event, max_steps):
+    """detect_cycle's outcome under a step cutoff, given the orbit's first event."""
+    if event is not None and event[1] <= max_steps:
+        return ("magnitude", event[1]) if event[0] == "magnitude" else ("cycle", event[2])
+    return ("steps", max_steps)
+
+
+_BOUNDARY_STARTS = st.sampled_from([2**63, -2**63, 2**127, -2**127]).flatmap(
+    lambda c: st.integers(c - 64, c + 64))
+
+
+@given(small_mappings(), st.integers(-300, 300) | _BOUNDARY_STARTS,
+       st.integers(0, 2000))
+# divergent collatz walks cross 2^63 and 2^127 before the cutoff at 2^130
+@example(gx.collatz(), 8, 10**4)
+@example(gx.collatz(), 27, 10**4)
+@example(gx.collatz(), -100, 10**4)
+@settings(max_examples=120, deadline=None)
+def test_detect_cycle_matches_a_plain_walk(mapping, start, max_steps):
+    max_magnitude = 2**130
+    event = _plain_walk(mapping, start, max_magnitude, budget=max_steps)
+    # the drawn step cutoff, and the cutoffs on either side of the event
+    cutoffs = {max_steps}
+    if event is not None:
+        cutoffs |= {n for n in range(event[1] - 1, event[1] + 2) if n >= 0}
+    for n in sorted(cutoffs):
+        try:
+            found = gx.detect_cycle(mapping, start, max_steps=n,
+                                    max_magnitude=max_magnitude, raise_on_cutoff=True)
+        except gx.CutoffExceededError as exc:
+            assert (exc.kind, exc.steps) == _expected(event, n), n
+        else:
+            assert ("cycle", found.elements) == _expected(event, n), n
+
+
+def test_negative_multiplier_mapping_end_to_end():
     mapping = gx.validate(2, [(1, 0), (-3, 1)])
     cat = gx.enumerate_cycles_exact(mapping, 4)
     assert {-2, 0} <= set(cat.min_elements())
-    cyc = gx.detect_cycle(mapping, 1, backend=backend)
+    cyc = gx.detect_cycle(mapping, 1)
     assert cyc.elements == (-2, -1, 1)
     assert gx.lambda_exact(mapping, cyc.counts) == Fraction(9, 8)
-    report = gx.search_range(mapping, -20, 20, max_steps=1000, backend=backend)
+    report = gx.search_range(mapping, -20, 20, max_steps=1000)
     assert cyc.elements in {c.elements for c in report.catalog.cycles}

@@ -37,18 +37,18 @@ class TestCanonicalize:
 
 
 class TestDetectCycle:
-    def test_collatz_12_cycle(self, g, backend):
-        cyc = gx.detect_cycle(g, 44, backend=backend)
+    def test_collatz_12_cycle(self, g):
+        cyc = gx.detect_cycle(g, 44)
         assert cyc.elements == (44, 59, 79, 105, 70, 93, 62, 83, 111, 74, 99, 66)
         assert cyc.counts.as_pair() == (7, 5)
 
-    def test_3x1_11_cycle(self, t31, backend):
-        cyc = gx.detect_cycle(t31, -17, backend=backend)
+    def test_3x1_11_cycle(self, t31):
+        cyc = gx.detect_cycle(t31, -17)
         assert cyc.period == 11
         assert cyc.min_element == -136 and cyc.min_abs_element == -17
 
-    def test_variant3_6_cycle(self, h, backend):
-        cyc = gx.detect_cycle(h, 8, backend=backend)
+    def test_variant3_6_cycle(self, h):
+        cyc = gx.detect_cycle(h, 8)
         assert cyc.elements == (4, 7, 11, 8, 6, 5)
 
     def test_start_off_cycle_finds_entered_cycle(self, t31):

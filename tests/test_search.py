@@ -50,14 +50,11 @@ class TestSearchRange:
         assert report.tallies == {"entered": 0, "step_cutoff": 10,
                                   "magnitude_cutoff": 0}
 
-    def test_deterministic_across_threads_and_backends(self, mat, backend):
+    def test_deterministic_across_threads(self, mat):
         base = gx.search_range(mat, -2000, 2000, max_steps=10**5)
-        other = gx.search_range(mat, -2000, 2000, max_steps=10**5,
-                                threads=2, backend=backend)
+        other = gx.search_range(mat, -2000, 2000, max_steps=10**5, threads=2)
         assert other == base
-        a, b = base.to_json(), other.to_json()
-        a.pop("backend"), b.pop("backend")
-        assert a == b
+        assert other.to_json() == base.to_json()
 
     @pytest.mark.parametrize("selector,lo,hi", [("matthews", -2000, 2000),
                                                 ("collatz", 1, 3000)])
@@ -69,14 +66,11 @@ class TestSearchRange:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            reports = [gx.search_range(mapping, lo, hi, max_steps=1000,
-                                       threads=threads, backend=backend)
-                       for threads in (1, 2, 3) for backend in gx.available_backends()]
+            reports = [gx.search_range(mapping, lo, hi, max_steps=1000, threads=threads)
+                       for threads in (1, 2, 3)]
         finally:
             sys.setswitchinterval(interval)
         payloads = [r.to_json() for r in reports]
-        for payload in payloads:
-            payload.pop("backend")
         for report, payload in zip(reports, payloads):
             assert report == reports[0]
             assert payload == payloads[0]
