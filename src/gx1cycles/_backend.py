@@ -11,6 +11,16 @@ primitives of a search:
 A member table is a plain dict from cycle member to cycle id.  An Engine
 is shared by every block of a search: search_range runs each wave of
 `threads` blocks on a thread pool, and walks keep no state on the Engine.
+
+Both walks also take an optional memo: a sequence `memo` of integer
+entries, where memo[i] belongs to the start base + i.  From its first
+step on (never at the start itself), a walk stops at an iterate that has
+an entry, and returns (MEMO_HIT, j, entry) with j the steps walked up to
+it.  walk_brent stops at every entry other than -1 (unknown); walk_tally
+only at a final entry (>= 0).  Iterates are checked against the
+magnitude cutoff, then the member table, then the memo.  With the
+default empty memo both walks behave as plain walks.  The meaning of an
+entry belongs to the caller (search_range).
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ ENTERED = 0        # reached a known cycle member; payload = cycle id
 NEW_CYCLE = 1      # Brent found a cycle not in the member table
 STEP_CUTOFF = 2    # budget exhausted before any classification
 MAG_CUTOFF = 3     # an iterate exceeded the magnitude cutoff
+MEMO_HIT = 4       # reached a start with a memo entry; payload = the entry
 
 _kernel = None     # no compiled walker; perfbench reads this name
 
@@ -38,7 +49,8 @@ class Engine:
         return dict(items)
 
     # perfbench traces this method through Engine.__dict__
-    def walk_brent(self, start, max_steps, max_magnitude, members):
+    def walk_brent(self, start, max_steps, max_magnitude, members,
+                   memo=(), base=0):
         """Classify one start, discovering a new cycle if the orbit closes.
 
         Returns (code, steps, payload):
@@ -47,9 +59,11 @@ class Engine:
                          orbit's entry point, steps = tail length (entry index)
           STEP_CUTOFF -- payload None, steps = max_steps
           MAG_CUTOFF  -- payload None, steps = index of the offending iterate
+          MEMO_HIT    -- payload = memo entry (not -1), steps = its index
         """
         d, ms, rs = self.d, self.ms, self.rs
         lookup = members.get
+        size = len(memo)
 
         x0 = start
         if abs(x0) > max_magnitude:
@@ -57,39 +71,37 @@ class Engine:
         cid = lookup(x0, -1)
         if cid >= 0:
             return (ENTERED, 0, cid)
-        if max_steps == 0:
-            return (STEP_CUTOFF, 0, None)
-
-        def step(x):
-            b = x % d
-            return (ms[b] * x - rs[b]) // d
 
         # Brent: teleport the tortoise to the hare at powers of two.
         power = 1
-        lam = 1
-        tortoise = x0
-        hare = step(x0)
-        apps = 1
-        if abs(hare) > max_magnitude:
-            return (MAG_CUTOFF, 1, None)
-        cid = lookup(hare, -1)
-        if cid >= 0:
-            return (ENTERED, 1, cid)
-        while tortoise != hare:
-            if power == lam:
-                tortoise = hare
-                power <<= 1
-                lam = 0
+        lam = 0
+        tortoise = hare = x0
+        apps = 0
+        while True:
             if apps == max_steps:
                 return (STEP_CUTOFF, max_steps, None)
-            hare = step(hare)
+            b = hare % d
+            hare = (ms[b] * hare - rs[b]) // d
             apps += 1
             if abs(hare) > max_magnitude:
                 return (MAG_CUTOFF, apps, None)
             cid = lookup(hare, -1)
             if cid >= 0:
                 return (ENTERED, apps, cid)
+            i = hare - base
+            if 0 <= i < size and memo[i] != -1:
+                return (MEMO_HIT, apps, memo[i])
             lam += 1
+            if tortoise == hare:
+                break
+            if power == lam:
+                tortoise = hare
+                power <<= 1
+                lam = 0
+
+        def step(x):
+            b = x % d
+            return (ms[b] * x - rs[b]) // d
 
         # Period is lam; locate the orbit's entry point into the cycle.
         ahead = x0
@@ -109,27 +121,33 @@ class Engine:
         return (NEW_CYCLE, mu, elements)
 
     # perfbench traces this method through Engine.__dict__
-    def walk_tally(self, start, max_steps, max_magnitude, members):
+    def walk_tally(self, start, max_steps, max_magnitude, members,
+                   memo=(), base=0):
         """Classify one start against a fixed member table.
 
-        Returns (code, steps, cycle_id); code is ENTERED, STEP_CUTOFF or
-        MAG_CUTOFF, and cycle_id is -1 unless ENTERED.
+        Returns (code, steps, payload); code is ENTERED, STEP_CUTOFF,
+        MAG_CUTOFF or MEMO_HIT.  payload is the cycle id if ENTERED, the
+        memo entry (>= 0) if MEMO_HIT, and -1 otherwise.
         """
         d, ms, rs = self.d, self.ms, self.rs
         lookup = members.get
+        size = len(memo)
 
         x = start
         if abs(x) > max_magnitude:
             return (MAG_CUTOFF, 0, -1)
-        for j in range(max_steps):
-            cid = lookup(x, -1)
-            if cid >= 0:
-                return (ENTERED, j, cid)
+        cid = lookup(x, -1)
+        if cid >= 0:
+            return (ENTERED, 0, cid)
+        for j in range(1, max_steps + 1):
             b = x % d
             x = (ms[b] * x - rs[b]) // d
             if abs(x) > max_magnitude:
-                return (MAG_CUTOFF, j + 1, -1)
-        cid = lookup(x, -1)
-        if cid >= 0:
-            return (ENTERED, max_steps, cid)
+                return (MAG_CUTOFF, j, -1)
+            cid = lookup(x, -1)
+            if cid >= 0:
+                return (ENTERED, j, cid)
+            i = x - base
+            if 0 <= i < size and memo[i] >= 0:
+                return (MEMO_HIT, j, memo[i])
         return (STEP_CUTOFF, max_steps, -1)

@@ -2,25 +2,31 @@
 
 A search classifies every start in a range as entering a known cycle,
 exceeding the step budget, or exceeding the magnitude cutoff.  Discovery
-runs Brent detection with a memoized member set (an early exit only:
-the final report is a pure function of the range, the cutoffs and the
-discovered catalog, so it is identical across runs and thread counts).
+runs Brent detection with early exits on known cycle members and on
+starts the search has already classified (a range memo, or stopping-time
+sieve); starts are taken in order of increasing distance from 0, so most
+walks stop after a few steps.  The final report is a pure function of
+the range, the cutoffs and the discovered catalog, so it is identical
+across runs and thread counts; search_range's docstring argues why.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import threading
+from array import array
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from ._backend import ENTERED, MAG_CUTOFF, NEW_CYCLE, STEP_CUTOFF, Engine
-from .cycles import Cycle, CycleCatalog, canonicalize
+from ._backend import ENTERED, MAG_CUTOFF, MEMO_HIT, NEW_CYCLE, STEP_CUTOFF, Engine
+from .cycles import CycleCatalog, canonicalize
 from .mappings import DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, MappingDef
 from .nodes import Node, bound_C, lambda_exact
 
 _BLOCK = 4096
+_MEMO_CAP = 1 << 17     # memo entries, 8 bytes each: at most 1 MiB per search
 
 
 @dataclass(frozen=True)
@@ -69,50 +75,161 @@ def _chunks(seq, size):
         yield block
 
 
-# perfbench traces this name, and reads `starts` as its second argument
-def _discover_block(engine, mapping, starts, max_steps, max_magnitude,
-                    base_members, base_mins):
-    members = engine.member_table(base_members.items())
-    mins = list(base_mins)
-    tallies = Counter()
-    hits = Counter()
-    new_cycles: dict[int, Cycle] = {}
-    deferred = []
-    for s in starts:
-        code, _steps, payload = engine.walk_brent(s, max_steps, max_magnitude, members)
-        if code == ENTERED:
-            tallies["entered"] += 1
-            hits[mins[payload]] += 1
-        elif code == NEW_CYCLE:
-            cyc = canonicalize(mapping, payload)
-            cid = len(mins)
-            mins.append(cyc.min_element)
-            for v in cyc.elements:
-                members[v] = cid
-            new_cycles[cyc.min_element] = cyc
-            tallies["entered"] += 1
-            hits[cyc.min_element] += 1
-        elif code == STEP_CUTOFF:
-            deferred.append(s)
+def _pivot(lo, hi):
+    """0 if it is in [lo, hi], otherwise the endpoint nearest 0."""
+    return min(max(0, lo), hi)
+
+
+def _by_distance(lo, hi):
+    """[lo, hi] in order of increasing distance from the pivot, the lower
+    start first at equal distance: 0, -1, 1, -2, 2, ... clipped to [lo, hi]."""
+    p = _pivot(lo, hi)
+    yield p
+    for k in range(1, max(p - lo, hi - p) + 1):
+        if p - k >= lo:
+            yield p - k
+        if p + k <= hi:
+            yield p + k
+
+
+class _Search:
+    """State that every block of one search shares.
+
+    The memo has one int64 entry per start of a window [base, base + n),
+    the first n starts of _by_distance.  An entry is
+      -1                          -- unknown;
+      (cid << shift | t) << 2 | c -- final: code c (ENTERED, STEP_CUTOFF
+                                     or MAG_CUTOFF) at step t, cycle id
+                                     cid for ENTERED, else 0;
+      -3 - (i << shift | j)       -- pending: the outcome of the start
+                                     base + i shifted by j steps.  A
+                                     deferred start is pending on itself
+                                     (i its own index, j = 0).
+    t and j are at most max_steps < 2^shift, so an entry fits in 63 bits
+    when the range size and max_steps together need at most 61 bits;
+    otherwise the memo is empty and every walk is a plain one.
+    """
+
+    def __init__(self, mapping, lo, hi, max_steps, max_magnitude):
+        self.mapping = mapping
+        self.max_steps = max_steps
+        self.max_magnitude = max_magnitude
+        self.engine = Engine(mapping)
+        self.members = self.engine.member_table(())
+        self.mins: list[int] = []       # cycle id -> min element
+        self.cycles = []
+        self.ready = 0                  # cycles whose members are all written
+        self.lock = threading.Lock()
+        self.shift = max_steps.bit_length()
+        self.mask = (1 << self.shift) - 1
+        size = hi - lo + 1
+        n = min(_MEMO_CAP, size) if self.shift + size.bit_length() <= 61 else 0
+        p = _pivot(lo, hi)
+        right = min(hi - p, n - 1 - min(p - lo, n // 2))
+        self.base = p + right - n + 1
+        self.memo = array("q", [-1]) * n
+
+    def register(self, cycle):
+        """Cycle id of a newly closed cycle; a block that closes a cycle
+        another block registered first gets that block's id."""
+        with self.lock:
+            cid = self.members.get(cycle.min_element)
+            if cid is None:
+                cid = len(self.mins)
+                # a walk that reads a member's id must find it in mins
+                self.mins.append(cycle.min_element)
+                for v in cycle.elements:
+                    self.members[v] = cid
+                self.cycles.append(cycle)
+                self.ready = len(self.mins)
+        return cid
+
+    def follow(self, entry, j):
+        """Entry of a start whose walk reached, after j steps, a start with
+        this entry: that start's outcome j steps later, or a step cutoff
+        past max_steps."""
+        if entry < -1:
+            steps, entry = j + (-3 - entry & self.mask), entry - j
         else:
-            tallies["magnitude_cutoff"] += 1
-    return tallies, hits, new_cycles, deferred
+            steps, entry = j + (entry >> 2 & self.mask), entry + (j << 2)
+        return entry if steps <= self.max_steps else STEP_CUTOFF
 
+    def final(self, code, steps, cid):
+        """Entry of a final outcome (STEP_CUTOFF itself is a step cutoff)."""
+        if code != ENTERED:
+            cid = 0
+        return ((cid << self.shift | steps) << 2) | code
 
-# perfbench traces this name, and reads `starts` as its second argument
-def _tally_block(engine, starts, max_steps, max_magnitude, members, mins):
-    tallies = Counter()
-    hits = Counter()
-    for s in starts:
-        code, _steps, cid = engine.walk_tally(s, max_steps, max_magnitude, members)
+    def count(self, tallies, hits, entry):
+        """Add a final entry's outcome to the tallies and hits."""
+        code = entry & 3
         if code == ENTERED:
             tallies["entered"] += 1
-            hits[mins[cid]] += 1
+            hits[self.mins[entry >> self.shift + 2]] += 1
         elif code == MAG_CUTOFF:
             tallies["magnitude_cutoff"] += 1
         else:
             tallies["step_cutoff"] += 1
-    return tallies, hits
+
+
+# perfbench traces this name, and reads `starts` as its second argument
+def _discover_block(run, starts):
+    walk, mapping, mins = run.engine.walk_brent, run.mapping, run.mins
+    members, memo, base, size = run.members, run.memo, run.base, len(run.memo)
+    max_steps, max_magnitude = run.max_steps, run.max_magnitude
+    tallies, hits, work = Counter(), Counter(), Counter()
+    deferred, links = [], array("q")
+    for s in starts:
+        while True:
+            ready = run.ready
+            code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
+            work["steps"] += steps
+            if len(mins) == ready:
+                break
+            # another block registered a cycle while this walk ran, so the
+            # walk may have passed one of its members unseen: walk again, as
+            # the memo must hold exact steps
+        i = s - base
+        if code == STEP_CUTOFF:
+            deferred.append(s)
+            entry = -3 - (i << run.shift)       # pending on itself
+        else:
+            if code == MEMO_HIT:
+                work["memo_hits"] += 1
+                entry = run.follow(payload, steps)
+            elif code == NEW_CYCLE:
+                cid = run.register(canonicalize(mapping, payload))
+                entry = run.final(ENTERED, steps, cid)
+            else:
+                entry = run.final(code, steps, payload)
+            if entry >= 0:
+                run.count(tallies, hits, entry)
+            else:
+                links.append(entry)
+        if 0 <= i < size:
+            memo[i] = entry
+    return tallies, hits, work, deferred, links
+
+
+# perfbench traces this name, and reads `starts` as its second argument
+def _tally_block(run, starts):
+    walk, members, memo, base, size = (run.engine.walk_tally, run.members,
+                                       run.memo, run.base, len(run.memo))
+    max_steps, max_magnitude = run.max_steps, run.max_magnitude
+    tallies, hits, work = Counter(), Counter(), Counter()
+    for s in starts:
+        code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
+        work["steps"] += steps
+        if code == MEMO_HIT:
+            work["memo_hits"] += 1
+            entry = run.follow(payload, steps)
+        else:
+            entry = run.final(code, steps, payload)
+        run.count(tallies, hits, entry)
+        i = s - base
+        if 0 <= i < size:
+            memo[i] = entry
+    return tallies, hits, work
 
 
 def search_range(mapping: MappingDef, lo: int, hi: int,
@@ -121,60 +238,93 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
                  threads: int = 1) -> SearchReport:
     """Classify every start in [lo, hi] and catalog the cycles entered.
 
-    One code path serves every thread count: the range is streamed in
-    blocks of _BLOCK starts, and each wave of `threads` blocks runs on
-    the pool against the members known when the wave starts.  A wave is
-    merged, in block order, only after all of its blocks have returned.
-    Starts whose Brent walk runs out of budget before confirming a cycle
-    are re-classified, on the same pool, against the final member set,
-    so a start counts as "entered" exactly when its orbit touches a
-    catalog cycle within max_steps applications.
+    A start is "entered" when an iterate with index <= max_steps is a
+    member of a catalog cycle, a magnitude cutoff when an iterate with
+    index <= max_steps exceeds max_magnitude first, and a step cutoff
+    otherwise.  The catalog is every cycle that Brent detection closes,
+    within both cutoffs, from some start in the range.
+
+    Order.  Starts are taken in order of increasing distance from the
+    pivot (0 if it is in the range, otherwise the endpoint nearest 0):
+    0, -1, 1, -2, 2, ... clipped to [lo, hi].  They are streamed in blocks
+    of _BLOCK starts, and each wave of `threads` blocks runs on a thread
+    pool.  All blocks share one member table: a block that closes a new
+    cycle registers it at once, under a lock, so cycle ids mean the same
+    in every block (the ids may differ between runs; no report holds one).
+
+    Memo.  An int64 array, capped at _MEMO_CAP entries for the starts
+    nearest the pivot, holds each classified start's outcome (layout in
+    _Search).  Every walk stops at its first iterate, after the start,
+    that is a start with an entry.  If that start y was reached after j
+    steps and entered cycle c, or exceeded the magnitude cutoff, at step
+    t, the walked start has the same outcome at step j + t when
+    j + t <= max_steps, and is a step cutoff otherwise; if y is a step
+    cutoff, so is the walked start.  Starts outside the window are walked
+    against the memo too, but are not recorded in it.
+
+    Links.  A start whose Brent walk runs out of budget is deferred.  A
+    walk that reaches a deferred start y after j steps is not walked on:
+    it becomes a link (y, j) (a link reached after j steps is followed
+    to its deferred start, adding the steps).  Deferred starts are then
+    walked, on the same pool, against the final member table and the
+    final memo entries; each link takes its deferred start's outcome,
+    shifted as above, with no walk.
+
+    Exactness.  An orbit is deterministic and, once it touches a cycle,
+    stays in it.  So the first catalog cycle a start touches, and the
+    step it first touches it, are those of any start on its orbit, shifted
+    by the steps between them; the same holds for the first iterate past
+    the magnitude cutoff.  Brent's detection step grows with the tail
+    length, so a walk that stops at a start y would not have closed a
+    cycle that y's walk could not close: the catalog is the same as with
+    no memo.  For the same reason a deferred start is on no catalog
+    cycle, so a walk that reaches it touched none before.  A walk during
+    which another block registered a cycle may have passed one of its
+    members before they were written; it is walked again, so every
+    recorded step is exact.  The report is therefore a pure function of
+    the mapping, the range and the cutoffs.
+
+    meta["steps"] is the sum of the step counts the walks return (up to
+    the memo hit; a tail length for a new cycle), and meta["memo_hits"]
+    the number of walks that stopped at a memo entry.
     """
     if lo > hi:
         raise ValueError(f"empty range: lo {lo} > hi {hi}")
     if max_steps < 0 or max_magnitude <= 0:
         raise ValueError("cutoffs must be positive")
-    threads = max(1, threads)
-    engine = Engine(mapping)
-
-    members: dict[int, int] = {}
-    mins: list[int] = []
-    cycles: dict[int, Cycle] = {}
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    run = _Search(mapping, lo, hi, max_steps, max_magnitude)
     tallies = Counter({"entered": 0, "step_cutoff": 0, "magnitude_cutoff": 0})
-    hits = Counter()
+    hits, work = Counter(), Counter()
     deferred: list[int] = []
+    links = array("q")
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for wave in _chunks(_chunks(range(lo, hi + 1), _BLOCK), threads):
-            results = list(pool.map(
-                lambda blk: _discover_block(engine, mapping, blk, max_steps,
-                                            max_magnitude, members, mins), wave))
-            for btallies, bhits, bnew, bdeferred in results:
+        for wave in _chunks(_chunks(_by_distance(lo, hi), _BLOCK), threads):
+            for btallies, bhits, bwork, bdeferred, blinks in pool.map(
+                    lambda blk: _discover_block(run, blk), wave):
                 tallies.update(btallies)
                 hits.update(bhits)
-                for mn, cyc in bnew.items():
-                    if mn not in cycles:
-                        cycles[mn] = cyc
-                        cid = len(mins)
-                        mins.append(mn)
-                        for v in cyc.elements:
-                            members[v] = cid
+                work.update(bwork)
                 deferred.extend(bdeferred)
-        if deferred:
-            final = engine.member_table(members.items())
-            for btallies, bhits in pool.map(
-                    lambda blk: _tally_block(engine, blk, max_steps, max_magnitude,
-                                             final, mins),
-                    _chunks(deferred, _BLOCK)):
-                tallies.update(btallies)
-                hits.update(bhits)
+                links.extend(blinks)
+        for btallies, bhits, bwork in pool.map(
+                lambda blk: _tally_block(run, blk), _chunks(deferred, _BLOCK)):
+            tallies.update(btallies)
+            hits.update(bhits)
+            work.update(bwork)
+    for link in links:
+        pending = -3 - link
+        run.count(tallies, hits, run.follow(run.memo[pending >> run.shift], pending & run.mask))
 
     catalog = CycleCatalog(
-        mapping, tuple(cycles.values()),
+        mapping, tuple(run.cycles),
         provenance=f"bounded search over [{lo}, {hi}]",
         meta={"max_steps": max_steps, "max_magnitude": max_magnitude})
     report = SearchReport(mapping, lo, hi, max_steps, max_magnitude, catalog,
-                          dict(tallies), dict(hits))
+                          dict(tallies), dict(hits),
+                          meta={"steps": work["steps"], "memo_hits": work["memo_hits"]})
     assert sum(report.tallies.values()) == report.range_size
     return report
 
@@ -225,7 +375,7 @@ def search_node(mapping: MappingDef, node: Node, constant=None,
     hits = {mn: n for mn, n in full.hits.items()
             if mn in {c.min_element for c in kept}}
     return SearchReport(mapping, lo, hi, max_steps, max_magnitude, catalog,
-                        full.tallies, hits, meta=meta)
+                        full.tallies, hits, meta={**meta, **full.meta})
 
 
 @dataclass(frozen=True)

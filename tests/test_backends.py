@@ -1,7 +1,11 @@
 """The walker and the backend name that reports carry."""
 
+from array import array
+
+import pytest
+
 import gx1cycles as gx
-from gx1cycles._backend import ENTERED, MAG_CUTOFF, STEP_CUTOFF, Engine
+from gx1cycles._backend import ENTERED, MAG_CUTOFF, MEMO_HIT, NEW_CYCLE, STEP_CUTOFF, Engine
 
 
 def test_backend_names():
@@ -26,3 +30,54 @@ def test_walk_tally_classifies_against_the_table(g):
     assert engine.walk_tally(0, 5, 10**30, table) == (STEP_CUTOFF, 5, -1)
     # 59 -> 79 in one step
     assert engine.walk_tally(59, 1, 10**30, engine.member_table([(79, 3)])) == (ENTERED, 1, 3)
+
+
+# 3x+1 from 7: 7 -> 11 -> 17 -> 26 -> 13 -> 20 -> 10 -> 5 -> 8
+@pytest.mark.parametrize("walk", ["walk_brent", "walk_tally"])
+def test_walk_stops_at_the_first_recorded_iterate(t31, walk):
+    engine = Engine(t31)
+    walk = getattr(engine, walk)
+    # window [10, 26]: 17 is iterate 2, 26 iterate 3, 13 iterate 4
+    memo = array("q", [-1]) * 17
+    memo[26 - 10] = 41
+    memo[13 - 10] = 42
+    assert walk(7, 100, 10**30, {}, memo, 10) == (MEMO_HIT, 3, 41)
+    memo[17 - 10] = 43
+    assert walk(7, 100, 10**30, {}, memo, 10) == (MEMO_HIT, 2, 43)
+    # the step budget ends the walk before the recorded iterate
+    assert walk(7, 1, 10**30, {}, memo, 10)[0] == STEP_CUTOFF
+    # the member table and the magnitude cutoff are checked first
+    assert walk(7, 100, 10**30, {17: 5}, memo, 10) == (ENTERED, 2, 5)
+    assert walk(7, 100, 16, {}, memo, 10)[:2] == (MAG_CUTOFF, 2)
+
+
+def test_only_walk_brent_stops_at_a_pending_entry(t31):
+    engine = Engine(t31)
+    memo = array("q", [-2, -3 - 7])          # 26: deferred, 27: a link
+    assert engine.walk_brent(7, 100, 10**30, {}, memo, 26) == (MEMO_HIT, 3, -2)
+    members = engine.member_table([(1, 0), (2, 0)])
+    assert (engine.walk_tally(7, 100, 10**30, members, memo, 26)
+            == engine.walk_tally(7, 100, 10**30, members))
+
+
+@pytest.mark.parametrize("walk", ["walk_brent", "walk_tally"])
+def test_own_entry_is_not_a_hit(t31, walk):
+    walk = getattr(Engine(t31), walk)
+    memo = array("q", [7])
+    assert walk(7, 5, 10**30, {}, memo, 7) == walk(7, 5, 10**30, {})
+    # 1 -> 2 -> 1: the start's entry is read only when the orbit returns to it
+    assert walk(1, 5, 10**30, {}, array("q", [9]), 1) == (MEMO_HIT, 2, 9)
+
+
+def test_empty_or_unknown_memo_is_a_plain_walk(t31, g):
+    for mapping in (t31, g):
+        engine = Engine(mapping)
+        members = engine.member_table([(1, 0), (2, 0), (-1, 1)])
+        unknown = array("q", [-1]) * 400
+        for start in range(-150, 151):
+            for max_steps in (0, 3, 200):
+                plain = engine.walk_brent(start, max_steps, 10**9, members)
+                assert engine.walk_brent(start, max_steps, 10**9, members, unknown, -200) == plain
+                plain = engine.walk_tally(start, max_steps, 10**9, members)
+                assert engine.walk_tally(start, max_steps, 10**9, members, unknown, -200) == plain
+        assert engine.walk_brent(-5, 100, 10**9, {})[0] == NEW_CYCLE

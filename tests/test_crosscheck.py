@@ -3,6 +3,7 @@ oracle, the Brent detector, a plain walk and catalog verification must
 agree with each other, including for negative multipliers."""
 
 import itertools
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gx1cycles as gx
-from gx1cycles import cycles
+from gx1cycles import cycles, search
+from gx1cycles._backend import NEW_CYCLE, Engine
 
 
 @st.composite
@@ -161,3 +163,64 @@ def test_negative_multiplier_mapping_end_to_end():
     assert gx.lambda_exact(mapping, cyc.counts) == Fraction(9, 8)
     report = gx.search_range(mapping, -20, 20, max_steps=1000)
     assert cyc.elements in {c.elements for c in report.catalog.cycles}
+
+
+def _reference_search(mapping, lo, hi, max_steps, max_magnitude):
+    """search_range's report, built without it.
+
+    The catalog is every cycle that a memo-free Brent walk closes from some
+    start in the range; the tallies and hits come from a plain walk of each
+    start against that catalog.
+    """
+    engine = Engine(mapping)
+    found = {}
+    for s in range(lo, hi + 1):
+        code, _steps, payload = engine.walk_brent(s, max_steps, max_magnitude, {})
+        if code == NEW_CYCLE:
+            cyc = gx.canonicalize(mapping, payload)
+            found[cyc.min_element] = cyc
+    member = {v: c.min_element for c in found.values() for v in c.elements}
+    tallies = {"entered": 0, "step_cutoff": 0, "magnitude_cutoff": 0}
+    hits = {}
+    for x in range(lo, hi + 1):
+        outcome = "step_cutoff"
+        for _ in range(max_steps + 1):
+            if abs(x) > max_magnitude:
+                outcome = "magnitude_cutoff"
+                break
+            if x in member:
+                outcome = "entered"
+                hits[member[x]] = hits.get(member[x], 0) + 1
+                break
+            x, _ = mapping.apply(x)
+        tallies[outcome] += 1
+    catalog = gx.CycleCatalog(mapping, tuple(found.values()),
+                              provenance=f"bounded search over [{lo}, {hi}]")
+    return gx.SearchReport(mapping, lo, hi, max_steps, max_magnitude, catalog, tallies, hits)
+
+
+@given(small_mappings(), st.integers(-120, 60), st.integers(1, 180),
+       st.sampled_from([0, 1, 200]) | st.integers(2, 12),
+       st.sampled_from([10, 10**3, 10**9, 10**30]) | st.integers(10, 10**30),
+       st.integers(1, 3), st.sampled_from([1, 7, 64]), st.sampled_from([1, 3, 16, 1 << 17]))
+# 3x+1 with a budget too small for Brent to close the 11-cycle from most starts
+@example(gx.three_x_plus_one(), -150, 301, 25, 10**30, 2, 7, 16)
+# collatz: magnitude cutoffs, step cutoffs and links to deferred starts
+@example(gx.collatz(), 1, 180, 200, 10**30, 3, 7, 3)
+@example(gx.matthews_4branch(), -90, 180, 60, 10**9, 1, 64, 1 << 17)
+@settings(max_examples=150, deadline=None)
+def test_search_matches_a_memo_free_reference(mapping, lo, width, max_steps,
+                                               max_magnitude, threads, block, cap):
+    hi = lo + width - 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(search, "_BLOCK", block), \
+                mock.patch.object(search, "_MEMO_CAP", cap):
+            report = gx.search_range(mapping, lo, hi, max_steps=max_steps,
+                                     max_magnitude=max_magnitude, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    reference = _reference_search(mapping, lo, hi, max_steps, max_magnitude)
+    assert report == reference
+    assert report.to_json() == reference.to_json()

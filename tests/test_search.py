@@ -5,6 +5,7 @@ import pytest
 
 import gx1cycles as gx
 from gx1cycles import search
+from gx1cycles._backend import Engine
 from gx1cycles.nodes import COLLATZ_FAMILY, THREE_X1_FAMILY
 
 
@@ -105,6 +106,74 @@ class TestSearchRange:
         import json
 
         assert json.loads(path.read_text()) == payload
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_threads_below_one_rejected(self, g, threads):
+        with pytest.raises(ValueError, match="threads"):
+            gx.search_range(g, 1, 5, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            gx.search_node(g, _node(COLLATZ_FAMILY, 3, 2), threads=threads)
+
+
+class TestRangeMemo:
+    def test_walks_few_steps_per_start(self, t31):
+        report = gx.search_range(t31, -4000, 4000, max_steps=10**5)
+        assert report.tallies["entered"] == 8001
+        assert report.meta["steps"] <= 8 * 8001
+        assert report.meta["memo_hits"] > 7000
+
+    def test_window_is_the_first_starts_by_distance(self, monkeypatch):
+        for lo, hi in [(-6, 6), (-6, 2), (-2, 6), (3, 9), (-9, -3), (0, 0), (-4, 0), (0, 4)]:
+            for cap in (1, 2, 3, 4, 5, 8, 100):
+                monkeypatch.setattr(search, "_MEMO_CAP", cap)
+                run = search._Search(gx.collatz(), lo, hi, 1000, 10**9)
+                order = list(search._by_distance(lo, hi))
+                assert sorted(order) == list(range(lo, hi + 1))
+                n = min(cap, hi - lo + 1)
+                assert len(run.memo) == n
+                assert list(range(run.base, run.base + n)) == sorted(order[:n])
+
+    def test_memo_is_capped(self):
+        run = search._Search(gx.collatz(), -10**11, 10**11, 10**6, 10**30)
+        assert len(run.memo) == search._MEMO_CAP
+        assert run.base <= 0 < run.base + search._MEMO_CAP
+        far = search._Search(gx.collatz(), -10**12, -10**11, 10**6, 10**30)
+        assert len(far.memo) == search._MEMO_CAP
+        assert far.base + search._MEMO_CAP - 1 == -10**11
+
+    def test_walk_during_a_registration_is_walked_again(self, monkeypatch, t31):
+        # Another block registers the cycle (1 2) just after the walk from 4
+        # looked 2 up, so that walk first sees the cycle at 1, one step late.
+        # 8 -> 4 -> 2 enters at step 2; with 4's late step it would read 3.
+        runs = []
+
+        class Racing(dict):
+            def get(self, key, default=None):
+                value = dict.get(self, key, default)
+                if key == 2 and not runs[0].mins:
+                    runs[0].register(gx.canonicalize(t31, [1, 2]))
+                return value
+
+        class Captured(search._Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(self)
+
+        monkeypatch.setattr(Engine, "member_table", lambda engine, items: Racing(items))
+        monkeypatch.setattr(search, "_Search", Captured)
+        report = gx.search_range(t31, 4, 8, max_steps=2)
+        assert report.tallies == {"entered": 2, "step_cutoff": 3, "magnitude_cutoff": 0}
+        assert report.hits == {1: 2}
+
+    def test_entries_that_do_not_fit_turn_the_memo_off(self, mat):
+        huge = 2**60
+        assert len(search._Search(mat, -300, 300, huge, 10**30).memo) == 0
+        report = gx.search_range(mat, -300, 300, max_steps=huge, max_magnitude=10**12)
+        assert report.meta["memo_hits"] == 0
+        memoized = gx.search_range(mat, -300, 300, max_steps=10**5, max_magnitude=10**12)
+        assert memoized.meta["memo_hits"] > 0
+        assert (report.tallies, report.hits) == (memoized.tallies, memoized.hits)
+        assert report.catalog.cycles == memoized.catalog.cycles
 
 
 class TestSearchNode:
