@@ -8,9 +8,8 @@ primitives of a search:
   * walk_tally -- plain forward walk classifying one start against a
     fixed member table.
 
-A member table is a plain dict from cycle member to cycle id.  An Engine
-is shared by every block of a search: search_range runs each wave of
-`threads` blocks on a thread pool, and walks keep no state on the Engine.
+A member table is a plain dict from cycle member to cycle id.  Walks
+keep no state on the Engine.
 
 Both walks also take an optional memo: a sequence `memo` of integer
 entries, where memo[i] belongs to the start base + i.  From its first

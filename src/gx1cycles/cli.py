@@ -37,10 +37,13 @@ def _parse_constant(text):
     if text in NAMED_CONSTANTS:
         return NAMED_CONSTANTS[text]
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"bad constant {text!r}; use p/q or one of "
+        value = 0
+    if value <= 0:
+        raise click.UsageError(f"bad constant {text!r}; use a positive p/q or one of "
                                f"{sorted(NAMED_CONSTANTS)}")
+    return value
 
 
 def _parse_bigint(_ctx, _param, value):
@@ -120,13 +123,8 @@ def main():
 # --- nodes -------------------------------------------------------------------
 
 def _node_rows(nodes):
-    rows = []
-    for n in nodes:
-        rows.append({"i": n.i, "j": n.j, "side": n.side, "k1": n.k1,
-                     "k2": n.k2, "k": n.k,
-                     "lambda": _round_to(n.value, 15),
-                     "ln_C": _round_to(n.ln_c, 7)})
-    return rows
+    return [{**n.to_row(), "lambda": _round_to(n.value, 15), "ln_C": _round_to(n.ln_c, 7)}
+            for n in nodes]
 
 
 def _rows_to_csv(rows):
@@ -229,6 +227,10 @@ def _report_text(report, fmt):
     return "\n".join(lines) + "\n"
 
 
+_THREADS_HELP = ("accepted for compatibility and ignored: a search runs on "
+                 "one thread, so the value has no effect")
+
+
 @main.command()
 @mapping_options
 @click.option("--lo", type=int, required=True)
@@ -237,7 +239,8 @@ def _report_text(report, fmt):
               show_default=True)
 @click.option("--max-magnitude", callback=_parse_bigint, default=str(DEFAULT_MAX_MAGNITUDE),
               show_default=True)
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+              help=_THREADS_HELP)
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json", "csv"]),
               default="pretty")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -247,7 +250,7 @@ def search(family, path, lo, hi, max_steps, max_magnitude, threads, fmt, output)
     if lo > hi:
         raise click.UsageError(f"empty range: lo {lo} > hi {hi}")
     report = search_range(mapping, lo, hi, max_steps=max_steps,
-                          max_magnitude=max_magnitude, threads=threads)
+                          max_magnitude=max_magnitude)
     _emit(_report_text(report, fmt), output)
 
 
@@ -260,7 +263,7 @@ def search(family, path, lo, hi, max_steps, max_magnitude, threads, fmt, output)
               default=None, help="range sign (default: family convention)")
 @click.option("--max-steps", type=click.IntRange(min=0), default=DEFAULT_MAX_STEPS)
 @click.option("--max-magnitude", callback=_parse_bigint, default=str(DEFAULT_MAX_MAGNITUDE))
-@click.option("--threads", type=click.IntRange(min=1), default=1)
+@click.option("--threads", type=click.IntRange(min=1), default=1, help=_THREADS_HELP)
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json", "csv"]),
               default="pretty")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -283,7 +286,7 @@ def search_node_cmd(family, path, k1, k2, constant, signed, max_steps,
         raise click.UsageError(f"({k1}, {k2}) is not a node of family {fam.name!r}")
     report = search_node(mapping, node, constant=_parse_constant(constant),
                          signed=signed, max_steps=max_steps,
-                         max_magnitude=max_magnitude, threads=threads)
+                         max_magnitude=max_magnitude)
     _emit(_report_text(report, fmt), output)
 
 
@@ -387,7 +390,10 @@ def oracle(family, path, max_period, budget, fmt, output):
 # --- lambda / bound ----------------------------------------------------------
 
 def _parse_counts(mapping, text):
-    parts = [int(p) for p in text.replace(",", " ").split()]
+    try:
+        parts = [int(p) for p in text.replace(",", " ").split()]
+    except ValueError:
+        raise click.UsageError(f"--counts takes integers, got {text!r}")
     if len(parts) == mapping.d:
         return tuple(parts)
     if len(parts) == 2 and mapping.two_ratio_split() is not None:

@@ -299,7 +299,7 @@ def bound_C(family, counts, constant=None) -> BoundResult:
     Two-slope families and mappings divide |ln lambda| by k1 (growth
     uses); generalized mappings divide by the total count outside
     residue class 0 and require an explicit constant.  Undefined when
-    lambda = 1 or when no growth branch was used.
+    lambda = 1, when no growth branch was used or when constant <= 0.
     """
     if isinstance(family, MappingDef) and family.two_ratio_split() is None:
         fam = family
@@ -318,7 +318,7 @@ def bound_C(family, counts, constant=None) -> BoundResult:
         if constant is None:
             raise ValueError(f"family {fam.name!r} has no default bound constant")
     terms, negative = _terms(fam.d, uses)
-    constant = Fraction(constant)
+    constant = _positive(constant)
     if negative:
         warnings.warn("negative multiplier: bound applies to |lambda|", stacklevel=2)
     if k_growth <= 0:
@@ -327,6 +327,13 @@ def bound_C(family, counts, constant=None) -> BoundResult:
         raise ValueError("bound undefined for lambda exactly 1")
     ev = _LogEvaluator()
     return BoundResult(*_bound(ev, ev.tight(terms), constant, k_growth), constant, k_growth)
+
+
+def _positive(constant) -> Fraction:
+    constant = Fraction(constant)
+    if constant <= 0:
+        raise ValueError(f"bound constant must be positive, got {constant}")
+    return constant
 
 
 def _bound(ev: _LogEvaluator, value, constant: Fraction, k_growth: int) -> tuple[float, float]:
@@ -375,11 +382,10 @@ def iter_nodes(family, constant=None) -> Iterator[Node]:
 
     Each product PP*PG replaces the side it lands on; the main index i
     advances when the replaced side flips, j counts within a run.  Both
-    seeds carry the label N_{1,1}.
+    seeds carry the label N_{1,1}.  A constant <= 0 raises ValueError.
     """
     fam = node_family(family)
-    if constant is None:
-        constant = fam.constant
+    constant = fam.constant if constant is None else _positive(constant)
     ev = _LogEvaluator()
 
     def node(i: int, j: int, side: str, k1: int, k2: int, terms) -> Node:
@@ -388,7 +394,7 @@ def iter_nodes(family, constant=None) -> Iterator[Node]:
             lam = float(mp.exp(value))
         ln_c = None
         if k1 and constant is not None:
-            ln_c = _bound(ev, value, Fraction(constant), k1)[1]
+            ln_c = _bound(ev, value, constant, k1)[1]
         return Node(fam, i, j, side, k1, k2, lam, ln_c)
 
     pp = (0, 1)

@@ -7,17 +7,14 @@ starts the search has already classified (a range memo, or stopping-time
 sieve); starts are taken in order of increasing distance from 0, so most
 walks stop after a few steps.  The final report is a pure function of
 the range, the cutoffs and the discovered catalog, so it is identical
-across runs and thread counts; search_range's docstring argues why.
+across runs; search_range's docstring argues why.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import threading
 from array import array
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ._backend import ENTERED, MAG_CUTOFF, MEMO_HIT, NEW_CYCLE, STEP_CUTOFF, Engine
@@ -25,7 +22,6 @@ from .cycles import CycleCatalog, canonicalize
 from .mappings import DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, MappingDef
 from .nodes import Node, bound_C, lambda_exact
 
-_BLOCK = 4096
 _MEMO_CAP = 1 << 17     # memo entries, 8 bytes each: at most 1 MiB per search
 
 
@@ -66,15 +62,6 @@ class SearchReport:
             fh.write("\n")
 
 
-def _chunks(seq, size):
-    it = iter(seq)
-    while True:
-        block = list(itertools.islice(it, size))
-        if not block:
-            return
-        yield block
-
-
 def _pivot(lo, hi):
     """0 if it is in [lo, hi], otherwise the endpoint nearest 0."""
     return min(max(0, lo), hi)
@@ -93,7 +80,7 @@ def _by_distance(lo, hi):
 
 
 class _Search:
-    """State that every block of one search shares.
+    """State of one search: member table, cycles and range memo.
 
     The memo has one int64 entry per start of a window [base, base + n),
     the first n starts of _by_distance.  An entry is
@@ -118,8 +105,9 @@ class _Search:
         self.members = self.engine.member_table(())
         self.mins: list[int] = []       # cycle id -> min element
         self.cycles = []
-        self.ready = 0                  # cycles whose members are all written
-        self.lock = threading.Lock()
+        self.tallies = Counter({"entered": 0, "step_cutoff": 0, "magnitude_cutoff": 0})
+        self.hits: Counter = Counter()  # cycle min element -> starts entering it
+        self.work: Counter = Counter()  # steps walked and memo hits
         self.shift = max_steps.bit_length()
         self.mask = (1 << self.shift) - 1
         size = hi - lo + 1
@@ -130,18 +118,12 @@ class _Search:
         self.memo = array("q", [-1]) * n
 
     def register(self, cycle):
-        """Cycle id of a newly closed cycle; a block that closes a cycle
-        another block registered first gets that block's id."""
-        with self.lock:
-            cid = self.members.get(cycle.min_element)
-            if cid is None:
-                cid = len(self.mins)
-                # a walk that reads a member's id must find it in mins
-                self.mins.append(cycle.min_element)
-                for v in cycle.elements:
-                    self.members[v] = cid
-                self.cycles.append(cycle)
-                self.ready = len(self.mins)
+        """Cycle id of a newly closed cycle."""
+        cid = len(self.mins)
+        self.mins.append(cycle.min_element)
+        for v in cycle.elements:
+            self.members[v] = cid
+        self.cycles.append(cycle)
         return cid
 
     def follow(self, entry, j):
@@ -160,35 +142,28 @@ class _Search:
             cid = 0
         return ((cid << self.shift | steps) << 2) | code
 
-    def count(self, tallies, hits, entry):
+    def count(self, entry):
         """Add a final entry's outcome to the tallies and hits."""
         code = entry & 3
         if code == ENTERED:
-            tallies["entered"] += 1
-            hits[self.mins[entry >> self.shift + 2]] += 1
+            self.tallies["entered"] += 1
+            self.hits[self.mins[entry >> self.shift + 2]] += 1
         elif code == MAG_CUTOFF:
-            tallies["magnitude_cutoff"] += 1
+            self.tallies["magnitude_cutoff"] += 1
         else:
-            tallies["step_cutoff"] += 1
+            self.tallies["step_cutoff"] += 1
 
 
 # perfbench traces this name, and reads `starts` as its second argument
 def _discover_block(run, starts):
-    walk, mapping, mins = run.engine.walk_brent, run.mapping, run.mins
+    """Brent-walk every start; returns the deferred starts and the links."""
+    walk, mapping, work = run.engine.walk_brent, run.mapping, run.work
     members, memo, base, size = run.members, run.memo, run.base, len(run.memo)
     max_steps, max_magnitude = run.max_steps, run.max_magnitude
-    tallies, hits, work = Counter(), Counter(), Counter()
     deferred, links = [], array("q")
     for s in starts:
-        while True:
-            ready = run.ready
-            code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
-            work["steps"] += steps
-            if len(mins) == ready:
-                break
-            # another block registered a cycle while this walk ran, so the
-            # walk may have passed one of its members unseen: walk again, as
-            # the memo must hold exact steps
+        code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
+        work["steps"] += steps
         i = s - base
         if code == STEP_CUTOFF:
             deferred.append(s)
@@ -203,20 +178,20 @@ def _discover_block(run, starts):
             else:
                 entry = run.final(code, steps, payload)
             if entry >= 0:
-                run.count(tallies, hits, entry)
+                run.count(entry)
             else:
                 links.append(entry)
         if 0 <= i < size:
             memo[i] = entry
-    return tallies, hits, work, deferred, links
+    return deferred, links
 
 
 # perfbench traces this name, and reads `starts` as its second argument
 def _tally_block(run, starts):
+    """Walk every deferred start against the final member table."""
     walk, members, memo, base, size = (run.engine.walk_tally, run.members,
                                        run.memo, run.base, len(run.memo))
-    max_steps, max_magnitude = run.max_steps, run.max_magnitude
-    tallies, hits, work = Counter(), Counter(), Counter()
+    max_steps, max_magnitude, work = run.max_steps, run.max_magnitude, run.work
     for s in starts:
         code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
         work["steps"] += steps
@@ -225,17 +200,15 @@ def _tally_block(run, starts):
             entry = run.follow(payload, steps)
         else:
             entry = run.final(code, steps, payload)
-        run.count(tallies, hits, entry)
+        run.count(entry)
         i = s - base
         if 0 <= i < size:
             memo[i] = entry
-    return tallies, hits, work
 
 
 def search_range(mapping: MappingDef, lo: int, hi: int,
                  max_steps: int = DEFAULT_MAX_STEPS,
-                 max_magnitude: int = DEFAULT_MAX_MAGNITUDE,
-                 threads: int = 1) -> SearchReport:
+                 max_magnitude: int = DEFAULT_MAX_MAGNITUDE) -> SearchReport:
     """Classify every start in [lo, hi] and catalog the cycles entered.
 
     A start is "entered" when an iterate with index <= max_steps is a
@@ -246,11 +219,11 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
 
     Order.  Starts are taken in order of increasing distance from the
     pivot (0 if it is in the range, otherwise the endpoint nearest 0):
-    0, -1, 1, -2, 2, ... clipped to [lo, hi].  They are streamed in blocks
-    of _BLOCK starts, and each wave of `threads` blocks runs on a thread
-    pool.  All blocks share one member table: a block that closes a new
-    cycle registers it at once, under a lock, so cycle ids mean the same
-    in every block (the ids may differ between runs; no report holds one).
+    0, -1, 1, -2, 2, ... clipped to [lo, hi], in one pass on one thread.
+    A walk that closes a new cycle registers it in the member table at
+    once, so every later walk can stop at its members.  Brent looks up
+    every element of a cycle before it closes it, so a closed cycle is
+    never one already registered.
 
     Memo.  An int64 array, capped at _MEMO_CAP entries for the starts
     nearest the pivot, holds each classified start's outcome (layout in
@@ -266,9 +239,9 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     walk that reaches a deferred start y after j steps is not walked on:
     it becomes a link (y, j) (a link reached after j steps is followed
     to its deferred start, adding the steps).  Deferred starts are then
-    walked, on the same pool, against the final member table and the
-    final memo entries; each link takes its deferred start's outcome,
-    shifted as above, with no walk.
+    walked against the final member table and the final memo entries;
+    each link takes its deferred start's outcome, shifted as above, with
+    no walk.
 
     Exactness.  An orbit is deterministic and, once it touches a cycle,
     stays in it.  So the first catalog cycle a start touches, and the
@@ -278,11 +251,8 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     length, so a walk that stops at a start y would not have closed a
     cycle that y's walk could not close: the catalog is the same as with
     no memo.  For the same reason a deferred start is on no catalog
-    cycle, so a walk that reaches it touched none before.  A walk during
-    which another block registered a cycle may have passed one of its
-    members before they were written; it is walked again, so every
-    recorded step is exact.  The report is therefore a pure function of
-    the mapping, the range and the cutoffs.
+    cycle, so a walk that reaches it touched none before.  The report is
+    therefore a pure function of the mapping, the range and the cutoffs.
 
     meta["steps"] is the sum of the step counts the walks return (up to
     the memo hit; a tail length for a new cycle), and meta["memo_hits"]
@@ -292,39 +262,21 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
         raise ValueError(f"empty range: lo {lo} > hi {hi}")
     if max_steps < 0 or max_magnitude <= 0:
         raise ValueError("cutoffs must be positive")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     run = _Search(mapping, lo, hi, max_steps, max_magnitude)
-    tallies = Counter({"entered": 0, "step_cutoff": 0, "magnitude_cutoff": 0})
-    hits, work = Counter(), Counter()
-    deferred: list[int] = []
-    links = array("q")
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for wave in _chunks(_chunks(_by_distance(lo, hi), _BLOCK), threads):
-            for btallies, bhits, bwork, bdeferred, blinks in pool.map(
-                    lambda blk: _discover_block(run, blk), wave):
-                tallies.update(btallies)
-                hits.update(bhits)
-                work.update(bwork)
-                deferred.extend(bdeferred)
-                links.extend(blinks)
-        for btallies, bhits, bwork in pool.map(
-                lambda blk: _tally_block(run, blk), _chunks(deferred, _BLOCK)):
-            tallies.update(btallies)
-            hits.update(bhits)
-            work.update(bwork)
+    deferred, links = _discover_block(run, _by_distance(lo, hi))
+    _tally_block(run, deferred)
     for link in links:
         pending = -3 - link
-        run.count(tallies, hits, run.follow(run.memo[pending >> run.shift], pending & run.mask))
+        run.count(run.follow(run.memo[pending >> run.shift], pending & run.mask))
 
     catalog = CycleCatalog(
         mapping, tuple(run.cycles),
         provenance=f"bounded search over [{lo}, {hi}]",
         meta={"max_steps": max_steps, "max_magnitude": max_magnitude})
     report = SearchReport(mapping, lo, hi, max_steps, max_magnitude, catalog,
-                          dict(tallies), dict(hits),
-                          meta={"steps": work["steps"], "memo_hits": work["memo_hits"]})
+                          dict(run.tallies), dict(run.hits),
+                          meta={"steps": run.work["steps"],
+                                "memo_hits": run.work["memo_hits"]})
     assert sum(report.tallies.values()) == report.range_size
     return report
 
@@ -332,8 +284,7 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
 def search_node(mapping: MappingDef, node: Node, constant=None,
                 signed: str | None = None,
                 max_steps: int = DEFAULT_MAX_STEPS,
-                max_magnitude: int = DEFAULT_MAX_MAGNITUDE,
-                threads: int = 1) -> SearchReport:
+                max_magnitude: int = DEFAULT_MAX_MAGNITUDE) -> SearchReport:
     """Search the start range allowed by the node's bound C and keep only
     cycles whose branch counts equal the node's (k1, k2).
 
@@ -366,7 +317,7 @@ def search_node(mapping: MappingDef, node: Node, constant=None,
     else:
         raise ValueError(f"signed must be positive/negative/both, got {signed!r}")
     full = search_range(mapping, lo, hi, max_steps=max_steps,
-                        max_magnitude=max_magnitude, threads=threads)
+                        max_magnitude=max_magnitude)
     want = (node.k1, node.k2)
     kept = tuple(c for c in full.catalog.cycles
                  if c.counts.k1 is not None and c.counts.as_pair() == want)

@@ -110,6 +110,18 @@ class TestSearch:
         assert res.exit_code == 0
         assert len(json.loads(out.read_text())["cycles"]) == 5
 
+    @pytest.mark.parametrize("args", [
+        ["search", "--family", "collatz", "--lo", 1, "--hi", 300, "--max-steps", 1000,
+         "--format", "json"],
+        ["search-node", "--family", "collatz", "--k1", 7, "--k2", 5],
+    ], ids=lambda args: args[0])
+    def test_threads_is_accepted_and_ignored(self, runner, args):
+        # perfbench's search-collatz calls still pass --threads 2
+        plain = invoke(runner, *args)
+        threaded = invoke(runner, *args, "--threads", 2)
+        assert plain.exit_code == threaded.exit_code == 0
+        assert threaded.stdout_bytes == plain.stdout_bytes
+
     def test_search_node_cli(self, runner):
         res = invoke(runner, "search-node", "--family", "collatz",
                      "--k1", 3, "--k2", 2)
@@ -272,6 +284,12 @@ class TestLambdaBound:
     ["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--threads", "-5"],
     ["search-node", "--family", "collatz", "--k1", "3", "--k2", "2", "--threads", "0"],
     ["search-node", "--family", "collatz", "--k1", "3", "--k2", "2", "--threads", "-5"],
+    ["lambda", "--family", "collatz", "--counts", "a,b"],
+    ["bound", "--family", "collatz", "--counts", "1,x"],
+    ["bound", "--family", "collatz", "--counts", "7,5", "--constant", "-1"],
+    ["bound", "--family", "collatz", "--counts", "7,5", "--constant", "0", "--format", "json"],
+    ["nodes", "--constant", "-1/2"],
+    ["search-node", "--family", "collatz", "--k1", "3", "--k2", "2", "--constant", "-1"],
 ], ids=" ".join)
 def test_bad_argument_is_usage_error(runner, args):
     res = runner.invoke(main, args)

@@ -3,7 +3,6 @@ oracle, the Brent detector, a plain walk and catalog verification must
 agree with each other, including for negative multipliers."""
 
 import itertools
-import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -202,25 +201,22 @@ def _reference_search(mapping, lo, hi, max_steps, max_magnitude):
 @given(small_mappings(), st.integers(-120, 60), st.integers(1, 180),
        st.sampled_from([0, 1, 200]) | st.integers(2, 12),
        st.sampled_from([10, 10**3, 10**9, 10**30]) | st.integers(10, 10**30),
-       st.integers(1, 3), st.sampled_from([1, 7, 64]), st.sampled_from([1, 3, 16, 1 << 17]))
+       st.sampled_from([1, 3, 16, 1 << 17]))
 # 3x+1 with a budget too small for Brent to close the 11-cycle from most starts
-@example(gx.three_x_plus_one(), -150, 301, 25, 10**30, 2, 7, 16)
+@example(gx.three_x_plus_one(), -150, 301, 25, 10**30, 16)
 # collatz: magnitude cutoffs, step cutoffs and links to deferred starts
-@example(gx.collatz(), 1, 180, 200, 10**30, 3, 7, 3)
-@example(gx.matthews_4branch(), -90, 180, 60, 10**9, 1, 64, 1 << 17)
+@example(gx.collatz(), 1, 180, 200, 10**30, 3)
+@example(gx.matthews_4branch(), -90, 180, 60, 10**9, 1 << 17)
+# wide ranges: many cycles closed mid-search, long tails and deferred tallies
+@example(gx.matthews_4branch(), -2000, 4001, 1000, 10**30, 1 << 17)
+@example(gx.collatz(), 1, 3000, 1000, 10**30, 1 << 17)
 @settings(max_examples=150, deadline=None)
 def test_search_matches_a_memo_free_reference(mapping, lo, width, max_steps,
-                                               max_magnitude, threads, block, cap):
+                                               max_magnitude, cap):
     hi = lo + width - 1
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with mock.patch.object(search, "_BLOCK", block), \
-                mock.patch.object(search, "_MEMO_CAP", cap):
-            report = gx.search_range(mapping, lo, hi, max_steps=max_steps,
-                                     max_magnitude=max_magnitude, threads=threads)
-    finally:
-        sys.setswitchinterval(interval)
+    with mock.patch.object(search, "_MEMO_CAP", cap):
+        report = gx.search_range(mapping, lo, hi, max_steps=max_steps,
+                                 max_magnitude=max_magnitude)
     reference = _reference_search(mapping, lo, hi, max_steps, max_magnitude)
     assert report == reference
     assert report.to_json() == reference.to_json()

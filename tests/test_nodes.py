@@ -181,6 +181,13 @@ class TestBoundC:
         assert result.constant == Fraction(63, 248)
         assert result.C < gx.bound_C(COLLATZ_FAMILY, (1, 1)).C
 
+    @pytest.mark.parametrize("constant", [0, -1, Fraction(-1, 2)])
+    def test_non_positive_constant_rejected(self, constant):
+        with pytest.raises(ValueError, match="positive"):
+            gx.bound_C(COLLATZ_FAMILY, (7, 5), constant=constant)
+        with pytest.raises(ValueError, match="positive"):
+            gx.generate_nodes(COLLATZ_FAMILY, max_nodes=3, constant=constant)
+
     def test_undefined_without_growth(self):
         with pytest.raises(ValueError, match="k_growth"):
             gx.bound_C(COLLATZ_FAMILY, (0, 5))

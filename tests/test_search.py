@@ -1,11 +1,9 @@
-import sys
 from fractions import Fraction
 
 import pytest
 
 import gx1cycles as gx
 from gx1cycles import search
-from gx1cycles._backend import Engine
 from gx1cycles.nodes import COLLATZ_FAMILY, THREE_X1_FAMILY
 
 
@@ -51,31 +49,6 @@ class TestSearchRange:
         assert report.tallies == {"entered": 0, "step_cutoff": 10,
                                   "magnitude_cutoff": 0}
 
-    def test_deterministic_across_threads(self, mat):
-        base = gx.search_range(mat, -2000, 2000, max_steps=10**5)
-        other = gx.search_range(mat, -2000, 2000, max_steps=10**5, threads=2)
-        assert other == base
-        assert other.to_json() == base.to_json()
-
-    @pytest.mark.parametrize("selector,lo,hi", [("matthews", -2000, 2000),
-                                                ("collatz", 1, 3000)])
-    def test_small_blocks_agree_across_waves(self, monkeypatch, selector, lo, hi):
-        # 64-start blocks give many blocks and many waves of 2 or 3 blocks;
-        # frequent thread switches expose a merge that races a running block
-        monkeypatch.setattr(search, "_BLOCK", 64)
-        mapping = gx.mapping_from_name(selector)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            reports = [gx.search_range(mapping, lo, hi, max_steps=1000, threads=threads)
-                       for threads in (1, 2, 3)]
-        finally:
-            sys.setswitchinterval(interval)
-        payloads = [r.to_json() for r in reports]
-        for report, payload in zip(reports, payloads):
-            assert report == reports[0]
-            assert payload == payloads[0]
-
     def test_matthews_17(self, mat):
         report = gx.search_range(mat, -6000, 6000, max_steps=10**5)
         pairs = sorted((c.min_abs_element, c.period) for c in report.catalog.cycles)
@@ -107,13 +80,6 @@ class TestSearchRange:
 
         assert json.loads(path.read_text()) == payload
 
-    @pytest.mark.parametrize("threads", [0, -5])
-    def test_threads_below_one_rejected(self, g, threads):
-        with pytest.raises(ValueError, match="threads"):
-            gx.search_range(g, 1, 5, threads=threads)
-        with pytest.raises(ValueError, match="threads"):
-            gx.search_node(g, _node(COLLATZ_FAMILY, 3, 2), threads=threads)
-
 
 class TestRangeMemo:
     def test_walks_few_steps_per_start(self, t31):
@@ -140,30 +106,6 @@ class TestRangeMemo:
         far = search._Search(gx.collatz(), -10**12, -10**11, 10**6, 10**30)
         assert len(far.memo) == search._MEMO_CAP
         assert far.base + search._MEMO_CAP - 1 == -10**11
-
-    def test_walk_during_a_registration_is_walked_again(self, monkeypatch, t31):
-        # Another block registers the cycle (1 2) just after the walk from 4
-        # looked 2 up, so that walk first sees the cycle at 1, one step late.
-        # 8 -> 4 -> 2 enters at step 2; with 4's late step it would read 3.
-        runs = []
-
-        class Racing(dict):
-            def get(self, key, default=None):
-                value = dict.get(self, key, default)
-                if key == 2 and not runs[0].mins:
-                    runs[0].register(gx.canonicalize(t31, [1, 2]))
-                return value
-
-        class Captured(search._Search):
-            def __init__(self, *args):
-                super().__init__(*args)
-                runs.append(self)
-
-        monkeypatch.setattr(Engine, "member_table", lambda engine, items: Racing(items))
-        monkeypatch.setattr(search, "_Search", Captured)
-        report = gx.search_range(t31, 4, 8, max_steps=2)
-        assert report.tallies == {"entered": 2, "step_cutoff": 3, "magnitude_cutoff": 0}
-        assert report.hits == {1: 2}
 
     def test_entries_that_do_not_fit_turn_the_memo_off(self, mat):
         huge = 2**60
