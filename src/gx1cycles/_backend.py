@@ -8,6 +8,12 @@ primitives of a search:
   * walk_tally -- plain forward walk classifying one start against a
     fixed member table.
 
+Brent's method (BIT 20, 1980) ends with the period and an iterate on the
+cycle.  walk_brent returns the cycle's elements from that iterate on and
+does not rewind to the orbit's entry point: canonicalize rotates them,
+and a walk_tally against a table that holds the cycle gives the tail
+length.
+
 A member table is a plain dict from cycle member to cycle id.  Walks
 keep no state on the Engine.
 
@@ -25,7 +31,7 @@ entry belongs to the caller (search_range).
 from __future__ import annotations
 
 ENTERED = 0        # reached a known cycle member; payload = cycle id
-NEW_CYCLE = 1      # Brent found a cycle not in the member table
+NEW_CYCLE = 1      # Brent closed a cycle not in the member table; payload = its elements
 STEP_CUTOFF = 2    # budget exhausted before any classification
 MAG_CUTOFF = 3     # an iterate exceeded the magnitude cutoff
 MEMO_HIT = 4       # reached a start with a memo entry; payload = the entry
@@ -54,8 +60,10 @@ class Engine:
 
         Returns (code, steps, payload):
           ENTERED     -- payload = cycle id, steps = first index touching it
-          NEW_CYCLE   -- payload = cycle elements in orbit order from the
-                         orbit's entry point, steps = tail length (entry index)
+          NEW_CYCLE   -- payload = the cycle's elements in orbit order from
+                         the iterate where Brent closed it, steps = that
+                         iterate's index (not the tail length: a walk_tally
+                         against a table holding the cycle gives that)
           STEP_CUTOFF -- payload None, steps = max_steps
           MAG_CUTOFF  -- payload None, steps = index of the offending iterate
           MEMO_HIT    -- payload = memo entry (not -1), steps = its index
@@ -98,26 +106,13 @@ class Engine:
                 power <<= 1
                 lam = 0
 
-        def step(x):
-            b = x % d
-            return (ms[b] * x - rs[b]) // d
-
-        # Period is lam; locate the orbit's entry point into the cycle.
-        ahead = x0
-        for _ in range(lam):
-            ahead = step(ahead)
-        tail = x0
-        mu = 0
-        while tail != ahead:
-            tail = step(tail)
-            ahead = step(ahead)
-            mu += 1
-        elements = []
-        y = tail
-        for _ in range(lam):
-            elements.append(y)
-            y = step(y)
-        return (NEW_CYCLE, mu, elements)
+        # hare is on the cycle and lam is its period: list the cycle from it
+        elements = [hare]
+        for _ in range(lam - 1):
+            b = hare % d
+            hare = (ms[b] * hare - rs[b]) // d
+            elements.append(hare)
+        return (NEW_CYCLE, apps, elements)
 
     # perfbench traces this method through Engine.__dict__
     def walk_tally(self, start, max_steps, max_magnitude, members,

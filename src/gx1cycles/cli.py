@@ -149,8 +149,9 @@ def _nodes_pretty(rows):
 @main.command()
 @click.option("--family", default="collatz",
               help="two-slope family: collatz, 3x1, or a mapping selector")
-@click.option("--depth", type=int, default=None, help="largest main node index")
-@click.option("--max-k", type=int, default=None)
+@click.option("--depth", type=click.IntRange(min=0), default=None,
+              help="largest main node index")
+@click.option("--max-k", type=click.IntRange(min=0), default=None)
 @click.option("--max-nodes", type=click.IntRange(min=0), default=None)
 @click.option("--constant", default=None,
               help="bound numerator: p/q or collatz | atkin | 3x1")
@@ -275,8 +276,9 @@ def search_node_cmd(family, path, k1, k2, constant, signed, max_steps,
     """
     mapping = _resolve_mapping(family, path)
     fam = _node_family(mapping)
+    constant = _parse_constant(constant)
     node = None
-    for n in iter_nodes(fam, constant=_parse_constant(constant)):
+    for n in iter_nodes(fam, constant=constant):
         if (n.k1, n.k2) == (k1, k2):
             node = n
             break
@@ -284,7 +286,7 @@ def search_node_cmd(family, path, k1, k2, constant, signed, max_steps,
             break
     if node is None:
         raise click.UsageError(f"({k1}, {k2}) is not a node of family {fam.name!r}")
-    report = search_node(mapping, node, constant=_parse_constant(constant),
+    report = search_node(mapping, node, constant=constant,
                          signed=signed, max_steps=max_steps,
                          max_magnitude=max_magnitude)
     _emit(_report_text(report, fmt), output)
@@ -358,7 +360,7 @@ def trajectory_cmd(family, path, start, steps, max_magnitude, fmt, output):
 @main.command()
 @mapping_options
 @click.option("--max-period", type=click.IntRange(min=0), required=True)
-@click.option("--budget", type=int, default=10**7, show_default=True,
+@click.option("--budget", type=click.IntRange(min=0), default=10**7, show_default=True,
               help="largest number of branch sequences to visit: the "
                    "prenecklaces of lengths 1 to --max-period")
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="json")
@@ -394,6 +396,8 @@ def _parse_counts(mapping, text):
         parts = [int(p) for p in text.replace(",", " ").split()]
     except ValueError:
         raise click.UsageError(f"--counts takes integers, got {text!r}")
+    if any(p < 0 for p in parts):
+        raise click.UsageError(f"--counts must be >= 0, got {text!r}")
     if len(parts) == mapping.d:
         return tuple(parts)
     if len(parts) == 2 and mapping.two_ratio_split() is not None:
@@ -466,7 +470,7 @@ def bound(family, path, counts, constant, fmt):
     try:
         result = bound_C(mapping, vec, constant=_parse_constant(constant))
     except ValueError as exc:
-        raise click.ClickException(str(exc))
+        raise click.UsageError(str(exc))
     payload = {"C": result.C, "ln_C": _round_to(result.ln_C, 7),
                "constant": str(result.constant), "k_growth": result.k_growth}
     if fmt == "json":

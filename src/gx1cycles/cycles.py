@@ -104,8 +104,9 @@ def detect_cycle(mapping: MappingDef, start: int,
                  raise_on_cutoff: bool = False) -> Cycle | None:
     """The cycle the trajectory from `start` enters within the cutoffs.
 
-    Uses constant-memory Brent pointer chasing, then a rewind pass to
-    extract the elements.  Returns None when a cutoff stops the walk
+    Uses constant-memory Brent pointer chasing, which ends on the cycle
+    with its period; the elements are listed from there and rotated by
+    canonicalize.  Returns None when a cutoff stops the walk
     first, or raises CutoffExceededError when raise_on_cutoff is set
     (distinguishing the step cutoff from the magnitude cutoff).
     """
@@ -212,7 +213,17 @@ def enumerate_cycles_exact(mapping: MappingDef, max_period: int,
     meta["unit_slope_skipped"], one per necklace.  Requiring the orbit to
     take the branches of w, not only to close after p steps, matters when
     a multiplier shares a factor with d: then a fixed point of w can close
-    on a cycle whose own word is a different one.  meta["sequences"] is
+    on a cycle whose own word is a different one.  Once the orbit of the
+    fixed point x0 takes the branches of the Lyndon word w, nothing else
+    needs checking:
+
+    * it closes: p steps along w apply the map of w, which fixes x0;
+    * its p elements are distinct: a repeat would make the orbit periodic
+      with a least period q < p dividing p, and its branch word then
+      w = u^(p/q), but a Lyndon word is primitive.
+
+    (canonicalize checks both again before a cycle enters the catalog.)
+    meta["sequences"] is
     the number of sequences visited, the sum over p of
     (max_period - p + 1) * L_d(p) with L_d(p) Lyndon words of length p;
     BudgetExceededError is raised when it exceeds the budget.
@@ -247,7 +258,7 @@ def enumerate_cycles_exact(mapping: MappingDef, max_period: int,
             if den == 0:
                 unit_slope += 1
             elif B % den == 0:
-                x0 = x = B // den
+                x = B // den
                 elems = []
                 for i in range(1, depth + 1):
                     elems.append(x)
@@ -255,8 +266,7 @@ def enumerate_cycles_exact(mapping: MappingDef, max_period: int,
                     if b != word[i]:
                         break
                 else:
-                    if x == x0 and len(set(elems)) == depth:
-                        found.append(canonicalize(mapping, elems))
+                    found.append(canonicalize(mapping, elems))
         if depth < max_period:
             low = word[depth + 1 - period]
             for b in range(low, d):

@@ -63,13 +63,12 @@ class MappingDef:
         The branches whose slope has the larger absolute value are the
         growth branches (k1), the others the division branches (k2).
         """
-        distinct = sorted({abs(rat) for rat in self.ratios()})
-        if len(distinct) != 2:
+        slopes = [abs(rat) for rat in self.ratios()]
+        if len(set(slopes)) != 2:
             return None
-        small, large = distinct
-        grow = tuple(i for i, rat in enumerate(self.ratios()) if abs(rat) == large)
-        div = tuple(i for i, rat in enumerate(self.ratios()) if abs(rat) == small)
-        return grow, div
+        large = max(slopes)
+        return (tuple(i for i, rat in enumerate(slopes) if rat == large),
+                tuple(i for i, rat in enumerate(slopes) if rat != large))
 
     def to_json(self) -> dict:
         out = {"d": self.d, "branches": [{"m": m, "r": r} for m, r in self.branches]}

@@ -86,7 +86,8 @@ class _LogEvaluator:
     Evaluation starts at DEFAULT_PRECISION_BITS (or the given bits) and
     doubles the working precision until the caller's test on (value,
     error bound) passes: `sign` until the sign is certain, `tight` until
-    the error meets fixed tolerances.  Precision only grows;
+    the error meets fixed tolerances, the node walk until both hold.
+    Precision only grows;
     per-precision logarithms are cached so repeated evaluations (the
     node walk does thousands) stay cheap.
     """
@@ -134,16 +135,24 @@ class _LogEvaluator:
         """Exact sign of sum coef*ln(base); raises precision as needed."""
         if _is_exact_one(terms):
             return 0
-        value, _ = self._refine(terms, lambda value, err: abs(value) > err)
+        value, _ = self._refine(terms, _sign_certain)
         return 1 if value > 0 else -1
 
     def tight(self, terms: Sequence[tuple[int, int]]):
         """Value with error below 2^-96 absolute and 2^-64 relative."""
-        def done(value, err):
-            return err <= mp.mpf(2) ** -96 and (
-                value == 0 or err <= abs(value) * mp.mpf(2) ** -64)
+        return self._refine(terms, _within_tolerance)[0]
 
-        return self._refine(terms, done)[0]
+
+def _sign_certain(value, err) -> bool:
+    """The stop condition of `sign`: the error cannot flip the sign."""
+    return abs(value) > err
+
+
+def _within_tolerance(value, err) -> bool:
+    """The stop condition of `tight`: error below 2^-96 absolute and
+    2^-64 relative."""
+    return err <= mp.mpf(2) ** -96 and (
+        value == 0 or err <= abs(value) * mp.mpf(2) ** -64)
 
 
 class LnLambda(NamedTuple):
@@ -162,11 +171,16 @@ def _count_vector(mapping: MappingDef, counts) -> tuple[int, ...]:
 
 def _uses(family, counts) -> list[tuple[int, int]]:
     """(count, multiplier) pairs of a ratio product: (k1, k2) for a
-    NodeFamily, one count per branch for a MappingDef."""
+    NodeFamily, one count per branch for a MappingDef.  A negative count
+    raises ValueError."""
     if isinstance(family, NodeFamily):
         k1, k2 = counts.as_pair() if isinstance(counts, BranchCounts) else map(int, counts)
-        return [(k1, family.m_grow), (k2, family.m_div)]
-    return [(c, m) for c, (m, _) in zip(_count_vector(family, counts), family.branches)]
+        uses = [(k1, family.m_grow), (k2, family.m_div)]
+    else:
+        uses = [(c, m) for c, (m, _) in zip(_count_vector(family, counts), family.branches)]
+    if any(c < 0 for c, _ in uses):
+        raise ValueError(f"usage counts must be >= 0, got {[c for c, _ in uses]}")
+    return uses
 
 
 def _terms(d: int, uses) -> tuple[list[tuple[int, int]], bool]:
@@ -309,7 +323,7 @@ def bound_C(family, counts, constant=None) -> BoundResult:
             raise ValueError("generalized mappings need an explicit bound constant")
     else:
         if isinstance(family, MappingDef):
-            counts = BranchCounts.from_counts(family, _count_vector(family, counts))
+            counts = BranchCounts.from_counts(family, [c for c, _ in _uses(family, counts)])
         fam = node_family(family)
         uses = _uses(fam, counts)
         k_growth = uses[0][0]
@@ -383,34 +397,38 @@ def iter_nodes(family, constant=None) -> Iterator[Node]:
     Each product PP*PG replaces the side it lands on; the main index i
     advances when the replaced side flips, j counts within a run.  Both
     seeds carry the label N_{1,1}.  A constant <= 0 raises ValueError.
+
+    Each product's log is evaluated once, at the first precision where
+    both its sign is certain and its error is within `tight`'s
+    tolerances; the side is read from that value's sign.
     """
     fam = node_family(family)
     constant = fam.constant if constant is None else _positive(constant)
     ev = _LogEvaluator()
 
-    def node(i: int, j: int, side: str, k1: int, k2: int, terms) -> Node:
-        value = ev.tight(terms)
+    def settled(value, err) -> bool:
+        return _sign_certain(value, err) and _within_tolerance(value, err)
+
+    def measure(k1: int, k2: int) -> tuple[str, float, float | None]:
+        """(side, ratio product, ln C) of the counts (k1, k2)."""
+        terms = fam.terms(k1, k2)
+        if _is_exact_one(terms):
+            raise ArithmeticError("ratio product hit exactly 1; family is degenerate")
+        value, _ = ev._refine(terms, settled)
         with mp.workprec(ev.prec):
             lam = float(mp.exp(value))
-        ln_c = None
-        if k1 and constant is not None:
-            ln_c = _bound(ev, value, constant, k1)[1]
-        return Node(fam, i, j, side, k1, k2, lam, ln_c)
+        ln_c = _bound(ev, value, constant, k1)[1] if k1 and constant is not None else None
+        return ("PP" if value < 0 else "PG"), lam, ln_c
 
-    pp = (0, 1)
-    pg = (1, 0)
-    yield node(1, 1, "PP", *pp, fam.terms(*pp))
-    yield node(1, 1, "PG", *pg, fam.terms(*pg))
+    pp, pg = (0, 1), (1, 0)
+    for k1, k2 in (pp, pg):
+        side, lam, ln_c = measure(k1, k2)
+        yield Node(fam, 1, 1, side, k1, k2, lam, ln_c)
 
-    i, j = 1, 1
-    prev_side = None
+    i, j, prev_side = 1, 1, None
     while True:
         k1, k2 = pp[0] + pg[0], pp[1] + pg[1]
-        terms = fam.terms(k1, k2)
-        s = ev.sign(terms)
-        if s == 0:
-            raise ArithmeticError("ratio product hit exactly 1; family is degenerate")
-        side = "PP" if s < 0 else "PG"
+        side, lam, ln_c = measure(k1, k2)
         if side == "PP":
             pp = (k1, k2)
         else:
@@ -420,7 +438,7 @@ def iter_nodes(family, constant=None) -> Iterator[Node]:
             prev_side = side
         else:
             j += 1
-        yield node(i, j, side, k1, k2, terms)
+        yield Node(fam, i, j, side, k1, k2, lam, ln_c)
 
 
 def generate_nodes(family, max_main_nodes: int | None = None,
@@ -519,5 +537,4 @@ def reciprocity_check(nodes_g: Sequence[Node], nodes_t: Sequence[Node]) -> Recip
     if common > 0 and runs_g[:common] != runs_t[1:common + 1]:
         mismatches.append(f"run structure differs: {runs_g[:common]} vs "
                           f"{runs_t[1:common + 1]} (offset by one)")
-    return ReciprocityReport(pairs, tuple(mismatches),
-                             _run_lengths(nodes_g), _run_lengths(nodes_t))
+    return ReciprocityReport(pairs, tuple(mismatches), runs_g, runs_t)

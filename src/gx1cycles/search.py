@@ -174,6 +174,10 @@ def _discover_block(run, starts):
                 entry = run.follow(payload, steps)
             elif code == NEW_CYCLE:
                 cid = run.register(canonicalize(mapping, payload))
+                # Brent touched no member and no cutoff before it closed the
+                # cycle, so this walk stops where the orbit first enters it
+                steps = run.engine.walk_tally(s, max_steps, max_magnitude, members)[1]
+                work["steps"] += steps
                 entry = run.final(ENTERED, steps, cid)
             else:
                 entry = run.final(code, steps, payload)
@@ -254,9 +258,14 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     cycle, so a walk that reaches it touched none before.  The report is
     therefore a pure function of the mapping, the range and the cutoffs.
 
-    meta["steps"] is the sum of the step counts the walks return (up to
-    the memo hit; a tail length for a new cycle), and meta["memo_hits"]
-    the number of walks that stopped at a memo entry.
+    A walk that closes a new cycle returns the cycle from the iterate
+    where Brent closed it; the start's tail length then comes from a
+    plain walk against the member table that now holds the cycle.
+
+    meta["steps"] is the number of steps walked: the sum of the step
+    counts the walks return (up to the memo hit; up to where Brent closed
+    the cycle, plus the tail walk, for a new cycle), and
+    meta["memo_hits"] the number of walks that stopped at a memo entry.
     """
     if lo > hi:
         raise ValueError(f"empty range: lo {lo} > hi {hi}")

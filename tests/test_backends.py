@@ -81,3 +81,16 @@ def test_empty_or_unknown_memo_is_a_plain_walk(t31, g):
                 plain = engine.walk_tally(start, max_steps, 10**9, members)
                 assert engine.walk_tally(start, max_steps, 10**9, members, unknown, -200) == plain
         assert engine.walk_brent(-5, 100, 10**9, {})[0] == NEW_CYCLE
+
+
+def test_new_cycle_is_listed_from_where_brent_closed_it(t31):
+    engine = Engine(t31)
+    for start in range(-60, 61):
+        code, steps, elements = engine.walk_brent(start, 1000, 10**9, {})
+        assert code == NEW_CYCLE
+        x = start
+        for _ in range(steps):
+            x, _ = t31.apply(x)
+        assert elements[0] == x
+        # closed and pairwise distinct, or canonicalize raises
+        assert gx.canonicalize(t31, elements).period == len(elements)

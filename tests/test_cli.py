@@ -266,10 +266,20 @@ class TestLambdaBound:
     def test_generalized_bound_needs_par(self, runner):
         res = runner.invoke(main, ["bound", "--family", "matthews",
                                    "--counts", "1,1,1,1"])
-        assert res.exit_code == 1
+        assert res.exit_code == 2
         res = invoke(runner, "bound", "--family", "matthews", "--counts",
                      "1,1,1,1", "--constant", "1/4", "--format", "json")
         assert json.loads(res.output)["k_growth"] == 3
+
+    def test_bound_at_lambda_one_is_usage_error(self, runner, tmp_path):
+        # slopes 1/2 and 4/2: one use of each makes lambda exactly 1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"d": 2, "branches": [{"m": 1, "r": 0},
+                                                         {"m": 4, "r": 0}]}))
+        res = runner.invoke(main, ["bound", "--file", str(path), "--counts", "1,1",
+                                   "--constant", "1"])
+        assert res.exit_code == 2, res.output
+        assert "lambda exactly 1" in res.output
 
 
 @pytest.mark.parametrize("args", [
@@ -279,6 +289,9 @@ class TestLambdaBound:
     ["trajectory", "--family", "collatz", "--start", "4", "--steps", "-1"],
     ["nodes", "--family", "matthews"],
     ["nodes", "--max-nodes", "-1"],
+    ["nodes", "--depth", "-1"],
+    ["nodes", "--max-k", "-5"],
+    ["oracle", "--family", "collatz", "--max-period", "3", "--budget", "-1"],
     ["search-node", "--family", "matthews", "--k1", "1", "--k2", "1"],
     ["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--threads", "0"],
     ["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--threads", "-5"],
@@ -286,6 +299,12 @@ class TestLambdaBound:
     ["search-node", "--family", "collatz", "--k1", "3", "--k2", "2", "--threads", "-5"],
     ["lambda", "--family", "collatz", "--counts", "a,b"],
     ["bound", "--family", "collatz", "--counts", "1,x"],
+    ["bound", "--family", "collatz", "--counts", "0,5"],
+    ["bound", "--family", "collatz", "--counts", "0,0"],
+    ["bound", "--family", "matthews", "--counts", "1,1,1,1"],
+    ["bound", "--family", "carnielli-T:3", "--counts", "1,1"],
+    ["bound", "--family", "collatz", "--counts", "5,-3"],
+    ["lambda", "--family", "collatz", "--counts", "-1,0,0"],
     ["bound", "--family", "collatz", "--counts", "7,5", "--constant", "-1"],
     ["bound", "--family", "collatz", "--counts", "7,5", "--constant", "0", "--format", "json"],
     ["nodes", "--constant", "-1/2"],

@@ -210,6 +210,10 @@ def _reference_search(mapping, lo, hi, max_steps, max_magnitude):
 # wide ranges: many cycles closed mid-search, long tails and deferred tallies
 @example(gx.matthews_4branch(), -2000, 4001, 1000, 10**30, 1 << 17)
 @example(gx.collatz(), 1, 3000, 1000, 10**30, 1 << 17)
+# a deferred start whose memo hit must shift the outcome by all its steps
+@example(gx.validate(2, [(1, 0), (2, -4)]), 0, 4, 4, 10, 16)
+# a memo hit on the start that closed a cycle must shift by its tail length
+@example(gx.validate(2, [(1, 0), (1, 1)]), 1, 2, 2, 10, 1)
 @settings(max_examples=150, deadline=None)
 def test_search_matches_a_memo_free_reference(mapping, lo, width, max_steps,
                                                max_magnitude, cap):

@@ -50,6 +50,17 @@ class TestLambdaExact:
         with pytest.raises(ValueError):
             gx.lambda_exact(g, (1, 1))
 
+    @pytest.mark.parametrize("call", [
+        lambda g: gx.lambda_exact(g, (-1, 0, 0)),
+        lambda g: gx.lambda_exact(COLLATZ_FAMILY, (2, -1)),
+        lambda g: gx.ln_lambda(g, (3, 0, -2)),
+        lambda g: gx.bound_C(COLLATZ_FAMILY, (5, -3)),
+        lambda g: gx.bound_C(g, (1, -1, 4)),
+    ], ids=["mapping", "family", "ln", "bound-pair", "bound-vector"])
+    def test_negative_counts_rejected(self, g, call):
+        with pytest.raises(ValueError, match=">= 0"):
+            call(g)
+
 
 class TestLnLambda:
     def test_first_product(self, g):
@@ -268,8 +279,8 @@ class TestGenerateNodes:
         assert len(gx.generate_nodes(COLLATZ_FAMILY, max_nodes=max_nodes)) == max_nodes
 
     def test_one_tight_evaluation_per_node(self, monkeypatch):
-        # one `sign` and one `tight` per product node, one `tight` per seed;
-        # each precision doubling adds one more evaluation
+        # one certified evaluation per node, seeds included; each precision
+        # doubling adds one more
         precs = []
         evaluate = _LogEvaluator.evaluate
 
@@ -281,7 +292,7 @@ class TestGenerateNodes:
         nodes = gx.generate_nodes(COLLATZ_FAMILY, max_nodes=500)
         doublings = len(set(precs)) - 1
         assert len(nodes) == 500
-        assert len(precs) <= 2 * len(nodes) + doublings
+        assert len(precs) <= len(nodes) + doublings
 
     @pytest.mark.parametrize("family", [COLLATZ_FAMILY, THREE_X1_FAMILY],
                              ids=lambda f: f.name)
