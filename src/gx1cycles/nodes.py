@@ -5,9 +5,14 @@ For a two-slope family the ratio product after (k1, k2) branch uses is
 lambda = (m_grow/d)^k1 * (m_div/d)^k2.  The node walk keeps the running
 product just below 1 (PP) and just above 1 (PG) and repeatedly replaces
 one side by PP*PG; the emitted pairs (k1, k2) are exactly the counts for
-which the least-term bound C peaks.  Comparisons against 1 are decided
-exactly with adaptive-precision logarithms, so the walk stays correct
-even when k grows far beyond anything a hardware float could separate.
+which the least-term bound C peaks.  The walk carries ln lambda as an
+integer k1*A + k2*B, where A and B are ln(m/d) scaled by 2^bits and
+rounded, and decides each side by integer comparisons against a
+certified error bound, doubling bits when that bound is too wide.  So
+the walk stays exact even when k grows far beyond anything a hardware
+float could separate.  The other comparisons against 1 (`sign`,
+`lambda_in_open_interval`) and the bound C use adaptive-precision
+logarithms with a certified error bound.
 """
 
 from __future__ import annotations
@@ -20,12 +25,18 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import mpmath as mp
+from mpmath.libmp import (from_int, from_man_exp, mpf_abs, mpf_add, mpf_exp, mpf_log,
+                          mpf_sub, round_nearest, to_float)
 
 from .mappings import BranchCounts, MappingDef
 
 # Working precision every log evaluation starts from; evaluators raise it
 # themselves whenever a decision or a tolerance needs more bits.
 DEFAULT_PRECISION_BITS = 256
+
+# Precision of the node walk's exp and ln for its float outputs: far finer
+# than the certified error of ln lambda (2^-96 absolute, 2^-64 relative).
+_OUT_PREC = 128
 
 # Bound numerators established for the two canonical families; the
 # tighter Collatz constant is only valid from least term 8 up.
@@ -86,10 +97,10 @@ class _LogEvaluator:
     Evaluation starts at DEFAULT_PRECISION_BITS (or the given bits) and
     doubles the working precision until the caller's test on (value,
     error bound) passes: `sign` until the sign is certain, `tight` until
-    the error meets fixed tolerances, the node walk until both hold.
-    Precision only grows;
-    per-precision logarithms are cached so repeated evaluations (the
-    node walk does thousands) stay cheap.
+    the error meets fixed tolerances, `ln_lambda` until the error is below
+    its target.  Precision only grows; per-precision logarithms are cached
+    so repeated evaluations with one evaluator stay cheap.  The node walk
+    does not use it: it carries ln lambda as a scaled integer.
     """
 
     MAX_PREC = 1 << 24
@@ -391,6 +402,18 @@ class Node:
                 "lambda": self.value, "ln_C": self.ln_c}
 
 
+def _scaled_logs(fam: NodeFamily, bits: int) -> tuple[int, int]:
+    """(A, B) = round(2^bits * ln(m/d)) for m = m_grow and m = m_div.
+
+    Evaluated at bits + 32 bits, so each is within one unit of the exact
+    scaled log: half a unit of rounding plus far less of evaluation error.
+    """
+    with mp.workprec(bits + 32):
+        ln_d = mp.ln(fam.d)
+        return tuple(int(mp.nint(mp.ldexp(mp.ln(m) - ln_d, bits)))
+                     for m in (fam.m_grow, fam.m_div))
+
+
 def iter_nodes(family, constant=None) -> Iterator[Node]:
     """The PP/PG walk: seeds first, then one node per product, forever.
 
@@ -398,27 +421,51 @@ def iter_nodes(family, constant=None) -> Iterator[Node]:
     advances when the replaced side flips, j counts within a run.  Both
     seeds carry the label N_{1,1}.  A constant <= 0 raises ValueError.
 
-    Each product's log is evaluated once, at the first precision where
-    both its sign is certain and its error is within `tight`'s
-    tolerances; the side is read from that value's sign.
+    ln lambda is carried as an integer r = k1*A + k2*B in units of
+    2^-bits, with A and B from `_scaled_logs`.  Each of them is within
+    one unit of its exact scaled log, so r is within k1 + k2 < err =
+    k1 + k2 + 1 units of 2^bits * ln lambda.  A product is settled when
+    |r| > err (its side is certain) and err is within `tight`'s
+    tolerances: err <= 2^(bits-96), i.e. 2^-96 absolute, and
+    err * 2^64 <= |r|, i.e. 2^-64 relative.  Otherwise bits doubles and
+    A and B are recomputed; bits only grows.  The float outputs are then
+    rounded from _OUT_PREC-bit values: the ratio product exp(r * 2^-bits)
+    and ln C = ln constant + ln k1 - ln|r * 2^-bits|, without forming C.
     """
     fam = node_family(family)
     constant = fam.constant if constant is None else _positive(constant)
-    ev = _LogEvaluator()
-
-    def settled(value, err) -> bool:
-        return _sign_certain(value, err) and _within_tolerance(value, err)
+    if constant is not None:
+        with mp.workprec(_OUT_PREC):
+            ln_constant = (mp.ln(constant.numerator) - mp.ln(constant.denominator))._mpf_
+    bits = DEFAULT_PRECISION_BITS
+    a, b = _scaled_logs(fam, bits)
 
     def measure(k1: int, k2: int) -> tuple[str, float, float | None]:
         """(side, ratio product, ln C) of the counts (k1, k2)."""
-        terms = fam.terms(k1, k2)
-        if _is_exact_one(terms):
+        nonlocal bits, a, b
+        if _is_exact_one(fam.terms(k1, k2)):
             raise ArithmeticError("ratio product hit exactly 1; family is degenerate")
-        value, _ = ev._refine(terms, settled)
-        with mp.workprec(ev.prec):
-            lam = float(mp.exp(value))
-        ln_c = _bound(ev, value, constant, k1)[1] if k1 and constant is not None else None
-        return ("PP" if value < 0 else "PG"), lam, ln_c
+        err = k1 + k2 + 1
+        while True:
+            r = k1 * a + k2 * b
+            if abs(r) > err and err <= 1 << (bits - 96) and err << 64 <= abs(r):
+                break
+            if bits >= _LogEvaluator.MAX_PREC:
+                raise ArithmeticError("log-linear form did not resolve")
+            bits *= 2
+            a, b = _scaled_logs(fam, bits)
+        # raw mpmath.libmp values: the mpf wrappers would cost more than
+        # the arithmetic
+        prec, rnd = _OUT_PREC, round_nearest
+        ln_lam = from_man_exp(r, -bits, prec, rnd)
+        lam = to_float(mpf_exp(ln_lam, prec, rnd), rnd=rnd)
+        ln_c = None
+        if k1 and constant is not None:
+            ln_k1 = mpf_log(from_int(k1, prec, rnd), prec, rnd)
+            ln_abs = mpf_log(mpf_abs(ln_lam), prec, rnd)
+            ln_c = to_float(mpf_sub(mpf_add(ln_constant, ln_k1, prec, rnd), ln_abs, prec, rnd),
+                            rnd=rnd)
+        return ("PP" if r < 0 else "PG"), lam, ln_c
 
     pp, pg = (0, 1), (1, 0)
     for k1, k2 in (pp, pg):

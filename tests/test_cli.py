@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -67,6 +68,18 @@ class TestNodes:
                 assert cr["ln_C"] == ""
             else:
                 assert jr["ln_C"] == float(cr["ln_C"])
+
+    # sha256 of the whole JSON table: any change of a side, count, value or
+    # ln C among 3,000 rows (k up to about 10^170) shows
+    @pytest.mark.parametrize("family, rows, digest", [
+        ("collatz", 3000, "a90824da9e4092b0a9c4e760ab430e1ea219dbeee6a790866cadbba22aa2c2bc"),
+        ("3x1", 3001, "ab2c59170b5ba1fbe4da36f6074691506b48eb8ee94030e0883cbf50d58f8c1b"),
+    ], ids=["collatz", "3x1"])
+    def test_node_table_is_pinned(self, runner, family, rows, digest):
+        res = invoke(runner, "nodes", "--family", family, "--max-nodes", rows,
+                     "--format", "json")
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
     def test_precision_option_removed(self, runner):
         # precision is chosen by the log evaluator, not by the user

@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gx1cycles as gx
+from gx1cycles import nodes as nodes_module
 from gx1cycles.nodes import (COLLATZ_FAMILY, THREE_X1_FAMILY, NodeFamily,
                              _is_exact_one, _LogEvaluator, family_for_mapping,
                              lambda_in_open_interval)
@@ -278,21 +281,45 @@ class TestGenerateNodes:
     def test_max_nodes_is_the_node_count(self, max_nodes):
         assert len(gx.generate_nodes(COLLATZ_FAMILY, max_nodes=max_nodes)) == max_nodes
 
-    def test_one_tight_evaluation_per_node(self, monkeypatch):
-        # one certified evaluation per node, seeds included; each precision
-        # doubling adds one more
+    def test_walk_makes_no_log_evaluator_call(self, monkeypatch):
+        # ln lambda is a scaled integer: no evaluator runs, and the scaled
+        # logs are computed once per precision
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the node walk called _LogEvaluator")
+
+        for name in ("__init__", "evaluate", "_refine", "sign", "tight"):
+            monkeypatch.setattr(_LogEvaluator, name, forbidden)
         precs = []
-        evaluate = _LogEvaluator.evaluate
+        scaled_logs = nodes_module._scaled_logs
 
-        def counted(self, terms):
-            precs.append(self.prec)
-            return evaluate(self, terms)
+        def counted(fam, bits):
+            precs.append(bits)
+            return scaled_logs(fam, bits)
 
-        monkeypatch.setattr(_LogEvaluator, "evaluate", counted)
+        monkeypatch.setattr(nodes_module, "_scaled_logs", counted)
         nodes = gx.generate_nodes(COLLATZ_FAMILY, max_nodes=500)
         doublings = len(set(precs)) - 1
         assert len(nodes) == 500
-        assert len(precs) <= len(nodes) + doublings
+        assert doublings >= 1
+        assert len(precs) <= doublings + 1
+
+    @pytest.mark.parametrize("m_grow", [4, 8])
+    def test_degenerate_family_raises_at_once(self, m_grow):
+        # (m_grow/2)^k1 * (1/2)^k2 hits exactly 1 at a small product, which
+        # no precision could settle
+        with _deadline(10), pytest.raises(ArithmeticError, match="family is degenerate"):
+            gx.generate_nodes(NodeFamily("deg", 2, 1, m_grow), max_nodes=5)
+
+    @pytest.mark.parametrize("family", [COLLATZ_FAMILY, THREE_X1_FAMILY,
+                                        "carnielli-T:3", "carnielli-T:5"],
+                             ids=lambda f: getattr(f, "name", f))
+    def test_values_are_correctly_rounded(self, family):
+        nodes = gx.generate_nodes(family, max_k=20_000)
+        assert nodes[-1].k > 10_000
+        for n in nodes:
+            lam = n.lambda_fraction()
+            assert n.value == float(lam), (n.k1, n.k2)
+            assert (n.side == "PP") == (lam < 1), (n.k1, n.k2)
 
     @pytest.mark.parametrize("family", [COLLATZ_FAMILY, THREE_X1_FAMILY],
                              ids=lambda f: f.name)
@@ -405,3 +432,46 @@ class TestReciprocity:
         ng = gx.generate_nodes(COLLATZ_FAMILY, max_nodes=6)
         rep = gx.reciprocity_check(ng, ng)
         assert not rep.ok
+
+
+def _fraction_walk(fam, max_nodes, max_k):
+    """(k1, k2, side) of the PP/PG walk, each side decided by comparing the
+    exact Fraction product with 1; raises ArithmeticError at exactly 1."""
+    def side(k1, k2):
+        lam = Fraction(fam.m_grow, fam.d) ** k1 * Fraction(fam.m_div, fam.d) ** k2
+        if lam == 1:
+            raise ArithmeticError("ratio product is exactly 1")
+        return "PP" if lam < 1 else "PG"
+
+    out = [(0, 1, side(0, 1)), (1, 0, side(1, 0))]
+    last = {"PP": (0, 1), "PG": (1, 0)}
+    while len(out) < max_nodes:
+        k1, k2 = last["PP"][0] + last["PG"][0], last["PP"][1] + last["PG"][1]
+        if k1 + k2 > max_k:
+            break
+        s = side(k1, k2)
+        last[s] = (k1, k2)
+        out.append((k1, k2, s))
+    return out
+
+
+_FAMILY_PARAMS = st.integers(2, 7).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, d - 1), st.integers(d + 1, 50)))
+
+
+@given(_FAMILY_PARAMS)
+@example((3, 2, 4))     # collatz
+@example((2, 1, 4))     # degenerate: 2 * (1/2) = 1
+@example((6, 4, 9))     # degenerate: (3/2)^1 * (2/3)^1 = 1
+@settings(max_examples=100, deadline=None)
+def test_walk_matches_a_fraction_reference(params):
+    # the first 40 nodes, as far as k <= 20,000 keeps the fractions small
+    fam = NodeFamily("drawn", *params)
+    try:
+        expected = _fraction_walk(fam, 40, 20_000)
+    except ArithmeticError:
+        with _deadline(10), pytest.raises(ArithmeticError, match="family is degenerate"):
+            gx.generate_nodes(fam, max_nodes=40, max_k=20_000)
+        return
+    nodes = gx.generate_nodes(fam, max_nodes=40, max_k=20_000)
+    assert [(n.k1, n.k2, n.side) for n in nodes] == expected
