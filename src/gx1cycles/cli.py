@@ -74,14 +74,12 @@ def _node_family(selector):
 def _resolve_mapping(family, path) -> MappingDef:
     if path and family:
         raise click.UsageError("give either --family or --file, not both")
-    if path:
-        return mapping_from_file(path)
-    if family:
-        try:
-            return mapping_from_name(family)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-    raise click.UsageError("a mapping is required (--family or --file)")
+    if not (path or family):
+        raise click.UsageError("a mapping is required (--family or --file)")
+    try:
+        return mapping_from_file(path) if path else mapping_from_name(family)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _emit(text, output):
@@ -264,12 +262,11 @@ def search(family, path, lo, hi, max_steps, max_magnitude, threads, fmt, output)
               default=None, help="range sign (default: family convention)")
 @click.option("--max-steps", type=click.IntRange(min=0), default=DEFAULT_MAX_STEPS)
 @click.option("--max-magnitude", callback=_parse_bigint, default=str(DEFAULT_MAX_MAGNITUDE))
-@click.option("--threads", type=click.IntRange(min=1), default=1, help=_THREADS_HELP)
 @click.option("--format", "fmt", type=click.Choice(["pretty", "json", "csv"]),
               default="pretty")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def search_node_cmd(family, path, k1, k2, constant, signed, max_steps,
-                    max_magnitude, threads, fmt, output):
+                    max_magnitude, fmt, output):
     """Search the range allowed by a node's bound C, keeping its cycles.
 
     (k1, k2) must be a node of the family's PP/PG walk.
@@ -299,9 +296,13 @@ def search_node_cmd(family, path, k1, k2, constant, signed, max_steps,
 @click.pass_context
 def verify(ctx, catalog):
     """Re-walk every cycle of a catalog file; exit 1 on any failure."""
-    raw = load_raw_catalog(catalog)
-    mapping = MappingDef.from_json(raw["mapping"])
-    result = verify_catalog(mapping, raw)
+    try:
+        raw = load_raw_catalog(catalog)
+        result = verify_catalog(MappingDef.from_json(raw["mapping"]), raw)
+    except KeyError as exc:
+        raise click.UsageError(f"catalog {catalog} lacks the field {exc}")
+    except (TypeError, ValueError) as exc:    # JSON errors are ValueErrors
+        raise click.UsageError(f"unreadable catalog {catalog}: {exc}")
     for chk in result.checks:
         status = "ok  " if chk.ok else "FAIL"
         click.echo(f"{status} period {chk.period:>5} min {chk.min_element} "

@@ -9,6 +9,7 @@ integer arithmetic (arbitrary precision).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -284,7 +285,12 @@ def mapping_from_name(selector: str) -> MappingDef:
 
 
 def mapping_from_file(path) -> MappingDef:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return MappingDef.from_json(json.load(fh))
+    """The mapping a JSON file defines.  InvalidMappingError when the file
+    cannot be read, is not JSON, lacks a field or breaks an invariant."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return MappingDef.from_json(json.load(fh))
+    except KeyError as exc:
+        raise InvalidMappingError(f"mapping file {path} lacks the field {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:    # JSON errors are ValueErrors
+        raise InvalidMappingError(f"mapping file {path}: {exc}") from exc

@@ -10,7 +10,10 @@ integer k1*A + k2*B, where A and B are ln(m/d) scaled by 2^bits and
 rounded, and decides each side by integer comparisons against a
 certified error bound, doubling bits when that bound is too wide.  So
 the walk stays exact even when k grows far beyond anything a hardware
-float could separate.  The other comparisons against 1 (`sign`,
+float could separate.  It tests a product for being exactly 1 only when
+it cannot settle the product at the current bits: a product equal to 1
+never settles, so a degenerate family is still caught at its first such
+product.  The other comparisons against 1 (`sign`,
 `lambda_in_open_interval`) and the bound C use adaptive-precision
 logarithms with a certified error bound.
 """
@@ -28,7 +31,7 @@ import mpmath as mp
 from mpmath.libmp import (from_int, from_man_exp, mpf_abs, mpf_add, mpf_exp, mpf_log,
                           mpf_sub, round_nearest, to_float)
 
-from .mappings import BranchCounts, MappingDef
+from .mappings import BranchCounts, MappingDef, mapping_from_name
 
 # Working precision every log evaluation starts from; evaluators raise it
 # themselves whenever a decision or a tolerance needs more bits.
@@ -98,24 +101,16 @@ class _LogEvaluator:
     doubles the working precision until the caller's test on (value,
     error bound) passes: `sign` until the sign is certain, `tight` until
     the error meets fixed tolerances, `ln_lambda` until the error is below
-    its target.  Precision only grows; per-precision logarithms are cached
-    so repeated evaluations with one evaluator stay cheap.  The node walk
-    does not use it: it carries ln lambda as a scaled integer.
+    its target.  Precision only grows.  Nothing is cached: each evaluation
+    takes the logarithms afresh at the current precision, and each caller
+    reads a base about once per precision.  The node walk does not use it:
+    it carries ln lambda as a scaled integer.
     """
 
     MAX_PREC = 1 << 24
 
     def __init__(self, prec_bits: int = DEFAULT_PRECISION_BITS):
         self.prec = prec_bits
-        self._cache: dict[tuple[int, int], mp.mpf] = {}
-
-    def _ln(self, base: int) -> mp.mpf:
-        key = (self.prec, base)
-        val = self._cache.get(key)
-        if val is None:
-            val = mp.ln(base)
-            self._cache[key] = val
-        return val
 
     def evaluate(self, terms: Sequence[tuple[int, int]]):
         """(value, error_bound) at the current working precision."""
@@ -125,7 +120,7 @@ class _LogEvaluator:
             for coef, base in terms:
                 if coef == 0 or base == 1:
                     continue
-                t = coef * self._ln(base)
+                t = coef * mp.ln(base)
                 total += t
                 scale += abs(t)
             err = scale * mp.mpf(2) ** (5 - self.prec) * (len(terms) + 1)
@@ -146,17 +141,13 @@ class _LogEvaluator:
         """Exact sign of sum coef*ln(base); raises precision as needed."""
         if _is_exact_one(terms):
             return 0
-        value, _ = self._refine(terms, _sign_certain)
+        # certain once the error cannot flip the sign
+        value, _ = self._refine(terms, lambda value, err: abs(value) > err)
         return 1 if value > 0 else -1
 
     def tight(self, terms: Sequence[tuple[int, int]]):
         """Value with error below 2^-96 absolute and 2^-64 relative."""
         return self._refine(terms, _within_tolerance)[0]
-
-
-def _sign_certain(value, err) -> bool:
-    """The stop condition of `sign`: the error cannot flip the sign."""
-    return abs(value) > err
 
 
 def _within_tolerance(value, err) -> bool:
@@ -172,23 +163,18 @@ class LnLambda(NamedTuple):
     negative: bool   # true when the exact ratio product is negative
 
 
-def _count_vector(mapping: MappingDef, counts) -> tuple[int, ...]:
-    """One count per branch, from a BranchCounts or a plain sequence."""
-    vec = counts.counts if isinstance(counts, BranchCounts) else tuple(counts)
-    if len(vec) != mapping.d:
-        raise ValueError(f"need {mapping.d} counts, got {len(vec)}")
-    return vec
-
-
 def _uses(family, counts) -> list[tuple[int, int]]:
     """(count, multiplier) pairs of a ratio product: (k1, k2) for a
-    NodeFamily, one count per branch for a MappingDef.  A negative count
-    raises ValueError."""
+    NodeFamily, one count per branch (a BranchCounts or a sequence) for a
+    MappingDef.  A negative count raises ValueError."""
     if isinstance(family, NodeFamily):
         k1, k2 = counts.as_pair() if isinstance(counts, BranchCounts) else map(int, counts)
         uses = [(k1, family.m_grow), (k2, family.m_div)]
     else:
-        uses = [(c, m) for c, (m, _) in zip(_count_vector(family, counts), family.branches)]
+        vec = counts.counts if isinstance(counts, BranchCounts) else tuple(counts)
+        if len(vec) != family.d:
+            raise ValueError(f"need {family.d} counts, got {len(vec)}")
+        uses = [(c, m) for c, (m, _) in zip(vec, family.branches)]
     if any(c < 0 for c, _ in uses):
         raise ValueError(f"usage counts must be >= 0, got {[c for c, _ in uses]}")
     return uses
@@ -253,17 +239,10 @@ class NodeFamily:
             raise ValueError(
                 f"need 0 < m_div < d < m_grow, got ({self.m_div}, {self.d}, {self.m_grow})")
 
-    @property
-    def ratio_div(self) -> Fraction:
-        return Fraction(self.m_div, self.d)
-
-    @property
-    def ratio_grow(self) -> Fraction:
-        return Fraction(self.m_grow, self.d)
-
     def lambda_range(self) -> tuple[Fraction, Fraction]:
-        """Open interval confining every ratio product the node walk visits."""
-        return (self.ratio_div / self.ratio_grow, self.ratio_grow / self.ratio_div)
+        """Open interval confining every ratio product the node walk visits:
+        (m_div/d) / (m_grow/d) to its reciprocal."""
+        return (Fraction(self.m_div, self.m_grow), Fraction(self.m_grow, self.m_div))
 
     def terms(self, k1: int, k2: int) -> list[tuple[int, int]]:
         return _terms(self.d, _uses(self, (k1, k2)))[0]
@@ -301,8 +280,6 @@ def node_family(selector) -> NodeFamily:
         return COLLATZ_FAMILY
     if selector == "3x1":
         return THREE_X1_FAMILY
-    from .mappings import mapping_from_name
-
     return family_for_mapping(mapping_from_name(selector))
 
 
@@ -351,7 +328,10 @@ def bound_C(family, counts, constant=None) -> BoundResult:
     if _is_exact_one(terms):
         raise ValueError("bound undefined for lambda exactly 1")
     ev = _LogEvaluator()
-    return BoundResult(*_bound(ev, ev.tight(terms), constant, k_growth), constant, k_growth)
+    value = ev.tight(terms)
+    with mp.workprec(ev.prec):
+        C = mp.mpf(constant.numerator) / constant.denominator * k_growth / abs(value)
+        return BoundResult(float(C), float(mp.ln(C)), constant, k_growth)
 
 
 def _positive(constant) -> Fraction:
@@ -359,14 +339,6 @@ def _positive(constant) -> Fraction:
     if constant <= 0:
         raise ValueError(f"bound constant must be positive, got {constant}")
     return constant
-
-
-def _bound(ev: _LogEvaluator, value, constant: Fraction, k_growth: int) -> tuple[float, float]:
-    """(C, ln C) for C = constant * k_growth / |ln lambda|, given the
-    value of ln lambda that `ev` evaluated."""
-    with mp.workprec(ev.prec):
-        C = mp.mpf(constant.numerator) / constant.denominator * k_growth / abs(value)
-        return float(C), float(mp.ln(C))
 
 
 @dataclass(frozen=True)
@@ -427,8 +399,12 @@ def iter_nodes(family, constant=None) -> Iterator[Node]:
     k1 + k2 + 1 units of 2^bits * ln lambda.  A product is settled when
     |r| > err (its side is certain) and err is within `tight`'s
     tolerances: err <= 2^(bits-96), i.e. 2^-96 absolute, and
-    err * 2^64 <= |r|, i.e. 2^-64 relative.  Otherwise bits doubles and
-    A and B are recomputed; bits only grows.  The float outputs are then
+    err * 2^64 <= |r|, i.e. 2^-64 relative.  Otherwise the product is
+    tested for being exactly 1 (ArithmeticError: the family is
+    degenerate), then bits doubles and A and B are recomputed; bits only
+    grows.  Testing there alone is enough: a product equal to 1 has
+    |r| <= k1 + k2 < err at every precision, so it never settles and
+    meets the test on its first pass.  The float outputs are then
     rounded from _OUT_PREC-bit values: the ratio product exp(r * 2^-bits)
     and ln C = ln constant + ln k1 - ln|r * 2^-bits|, without forming C.
     """
@@ -443,13 +419,13 @@ def iter_nodes(family, constant=None) -> Iterator[Node]:
     def measure(k1: int, k2: int) -> tuple[str, float, float | None]:
         """(side, ratio product, ln C) of the counts (k1, k2)."""
         nonlocal bits, a, b
-        if _is_exact_one(fam.terms(k1, k2)):
-            raise ArithmeticError("ratio product hit exactly 1; family is degenerate")
         err = k1 + k2 + 1
         while True:
             r = k1 * a + k2 * b
             if abs(r) > err and err <= 1 << (bits - 96) and err << 64 <= abs(r):
                 break
+            if _is_exact_one(fam.terms(k1, k2)):
+                raise ArithmeticError("ratio product hit exactly 1; family is degenerate")
             if bits >= _LogEvaluator.MAX_PREC:
                 raise ArithmeticError("log-linear form did not resolve")
             bits *= 2

@@ -126,7 +126,6 @@ class TestSearch:
     @pytest.mark.parametrize("args", [
         ["search", "--family", "collatz", "--lo", 1, "--hi", 300, "--max-steps", 1000,
          "--format", "json"],
-        ["search-node", "--family", "collatz", "--k1", 7, "--k2", 5],
     ], ids=lambda args: args[0])
     def test_threads_is_accepted_and_ignored(self, runner, args):
         # perfbench's search-collatz calls still pass --threads 2
@@ -134,6 +133,12 @@ class TestSearch:
         threaded = invoke(runner, *args, "--threads", 2)
         assert plain.exit_code == threaded.exit_code == 0
         assert threaded.stdout_bytes == plain.stdout_bytes
+
+    def test_search_node_threads_option_removed(self, runner):
+        res = runner.invoke(main, ["search-node", "--family", "collatz", "--k1", "3",
+                                   "--k2", "2", "--threads", "2"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
 
     def test_search_node_cli(self, runner):
         res = invoke(runner, "search-node", "--family", "collatz",
@@ -271,6 +276,38 @@ class TestLambdaBound:
         assert payload["decimal"] == decimal
         assert payload["ln_lambda"] == float(gx.ln_lambda(gx.collatz(), vec).value)
 
+    # sha256 of the whole stdout, so a last-bit change of C, ln C, ln lambda
+    # or its printed error bound shows.  The bound counts are rows 20, 110
+    # and 449 of the collatz node stream and rows 20, 110 and 300 of the 3x1
+    # stream; on 3x1 the two counts are per branch, (k2, k1).
+    @pytest.mark.parametrize("args, digest", [
+        (["bound", "--family", "collatz", "--counts", "1346,955", "--format", "json"],
+         "3bf9002441a02ec19957f538c1e8d2573c80d4a01d8513b213b70b2cf43ae3f3"),
+        (["bound", "--family", "collatz", "--counts", "131993633,93650973",
+          "--format", "json"],
+         "c698f1e254793719beafdbc256f6821f5b6e85190161ebf88cf5b6b42dfeae97"),
+        (["bound", "--family", "collatz", "--counts",
+          "51924673381421128610000739694187846101,36841142063854614877587546170182710098",
+          "--format", "json"],
+         "b508b36ce45e3c50fdc04c737034adb5e94f595534bfbfc107bd9a73885a6f35"),
+        (["bound", "--family", "3x1", "--counts", "957,1636", "--format", "json"],
+         "982832289fc5dee74d3d3d993ec44ff85ee61ef00b30ffe263e2260e2f1b8998"),
+        (["bound", "--family", "3x1", "--counts", "100571885,171928773", "--format", "json"],
+         "6e7163f28e0a7891084c10692854805bcafeaaf283421d0fdb7a221702915d39"),
+        (["bound", "--family", "3x1", "--counts",
+          "696966938398598694728829,1191472850891058287111453", "--format", "json"],
+         "aa8ae14f077fbdb730f60751da85996065e70756141144cee0bff50f36caf595"),
+        (["lambda", "--family", "collatz", "--counts", "31,22", "--format", "json"],
+         "abdb12610595f011322816ac81e02c8288cba543e984dfa7eea0d83f02d5b738"),
+        (["lambda", "--family", "collatz", "--counts", "31,22"],
+         "97de4900df3f52da5588595925785e93f4bd9bf7f3fd6e31ac8eb75ca298aa22"),
+    ], ids=["collatz-20", "collatz-110", "collatz-449", "3x1-20", "3x1-110", "3x1-300",
+            "lambda-json", "lambda-pretty"])
+    def test_output_is_pinned(self, runner, args, digest):
+        res = invoke(runner, *args)
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
     def test_bound_atkin(self, runner):
         res = invoke(runner, "bound", "--family", "collatz", "--counts", "1,1",
                      "--constant", "atkin", "--format", "json")
@@ -308,8 +345,6 @@ class TestLambdaBound:
     ["search-node", "--family", "matthews", "--k1", "1", "--k2", "1"],
     ["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--threads", "0"],
     ["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--threads", "-5"],
-    ["search-node", "--family", "collatz", "--k1", "3", "--k2", "2", "--threads", "0"],
-    ["search-node", "--family", "collatz", "--k1", "3", "--k2", "2", "--threads", "-5"],
     ["lambda", "--family", "collatz", "--counts", "a,b"],
     ["bound", "--family", "collatz", "--counts", "1,x"],
     ["bound", "--family", "collatz", "--counts", "0,5"],
@@ -326,6 +361,35 @@ class TestLambdaBound:
 def test_bad_argument_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
+
+
+_COLLATZ_JSON = json.dumps(gx.collatz().to_json())
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify {}", "{}"),
+    ("verify {}", "not json"),
+    ("verify {}", '{"mapping": %s}' % _COLLATZ_JSON),
+    ("verify {}", '{"mapping": %s, "cycles": [{"elements": ["a"]}]}' % _COLLATZ_JSON),
+    ("verify {}", '{"mapping": {"d": 2}, "cycles": []}'),
+    ("search --file {} --lo 1 --hi 5", '{"d": 2}'),
+    ("search --file {} --lo 1 --hi 5", "not json"),
+    ("search --file {} --lo 1 --hi 5", '{"d": 2, "branches": 7}'),
+    ("search --file {} --lo 1 --hi 5", '{"d": 2, "branches": [{"m": 1, "r": 0}]}'),
+    ("search --family custom:{} --lo 1 --hi 5", '{"d": 2}'),
+    ("nodes --family custom:{}", "not json"),
+    ("search --family custom:{}.missing --lo 1 --hi 5", "{}"),
+], ids=["verify-empty", "verify-not-json", "verify-no-cycles", "verify-non-integer",
+        "verify-bad-mapping", "file-no-branches", "file-not-json", "file-branches-not-list",
+        "file-too-few-branches", "custom-no-branches", "custom-not-json", "custom-missing"])
+def test_malformed_input_file_is_usage_error(runner, tmp_path, command, text):
+    # input from outside the program: a clean message and exit 2, no traceback
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    res = runner.invoke(main, shlex.split(command.format(path)))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert str(path) in res.output
 
 
 def _readme_commands():

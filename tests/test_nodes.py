@@ -282,8 +282,9 @@ class TestGenerateNodes:
         assert len(gx.generate_nodes(COLLATZ_FAMILY, max_nodes=max_nodes)) == max_nodes
 
     def test_walk_makes_no_log_evaluator_call(self, monkeypatch):
-        # ln lambda is a scaled integer: no evaluator runs, and the scaled
-        # logs are computed once per precision
+        # ln lambda is a scaled integer: no evaluator runs, the scaled logs
+        # are computed once per precision, and a product is tested for
+        # being exactly 1 only when it does not settle, before a doubling
         def forbidden(*args, **kwargs):
             raise AssertionError("the node walk called _LogEvaluator")
 
@@ -291,17 +292,25 @@ class TestGenerateNodes:
             monkeypatch.setattr(_LogEvaluator, name, forbidden)
         precs = []
         scaled_logs = nodes_module._scaled_logs
+        is_exact_one = nodes_module._is_exact_one
+        exact_one_calls = []
 
         def counted(fam, bits):
             precs.append(bits)
             return scaled_logs(fam, bits)
 
+        def counted_exact_one(terms):
+            exact_one_calls.append(terms)
+            return is_exact_one(terms)
+
         monkeypatch.setattr(nodes_module, "_scaled_logs", counted)
+        monkeypatch.setattr(nodes_module, "_is_exact_one", counted_exact_one)
         nodes = gx.generate_nodes(COLLATZ_FAMILY, max_nodes=500)
         doublings = len(set(precs)) - 1
         assert len(nodes) == 500
         assert doublings >= 1
         assert len(precs) <= doublings + 1
+        assert len(exact_one_calls) <= doublings
 
     @pytest.mark.parametrize("m_grow", [4, 8])
     def test_degenerate_family_raises_at_once(self, m_grow):
