@@ -69,15 +69,13 @@ class Engine:
           MEMO_HIT    -- payload = memo entry (not -1), steps = its index
         """
         d, ms, rs = self.d, self.ms, self.rs
-        lookup = members.get
-        size = len(memo)
+        neg, end = -max_magnitude, base + len(memo)
 
         x0 = start
-        if abs(x0) > max_magnitude:
+        if x0 > max_magnitude or x0 < neg:
             return (MAG_CUTOFF, 0, None)
-        cid = lookup(x0, -1)
-        if cid >= 0:
-            return (ENTERED, 0, cid)
+        if x0 in members:
+            return (ENTERED, 0, members[x0])
 
         # Brent: teleport the tortoise to the hare at powers of two.
         power = 1
@@ -90,14 +88,12 @@ class Engine:
             b = hare % d
             hare = (ms[b] * hare - rs[b]) // d
             apps += 1
-            if abs(hare) > max_magnitude:
+            if hare > max_magnitude or hare < neg:
                 return (MAG_CUTOFF, apps, None)
-            cid = lookup(hare, -1)
-            if cid >= 0:
-                return (ENTERED, apps, cid)
-            i = hare - base
-            if 0 <= i < size and memo[i] != -1:
-                return (MEMO_HIT, apps, memo[i])
+            if hare in members:
+                return (ENTERED, apps, members[hare])
+            if base <= hare < end and memo[hare - base] != -1:
+                return (MEMO_HIT, apps, memo[hare - base])
             lam += 1
             if tortoise == hare:
                 break
@@ -124,24 +120,20 @@ class Engine:
         memo entry (>= 0) if MEMO_HIT, and -1 otherwise.
         """
         d, ms, rs = self.d, self.ms, self.rs
-        lookup = members.get
-        size = len(memo)
+        neg, end = -max_magnitude, base + len(memo)
 
         x = start
-        if abs(x) > max_magnitude:
+        if x > max_magnitude or x < neg:
             return (MAG_CUTOFF, 0, -1)
-        cid = lookup(x, -1)
-        if cid >= 0:
-            return (ENTERED, 0, cid)
+        if x in members:
+            return (ENTERED, 0, members[x])
         for j in range(1, max_steps + 1):
             b = x % d
             x = (ms[b] * x - rs[b]) // d
-            if abs(x) > max_magnitude:
+            if x > max_magnitude or x < neg:
                 return (MAG_CUTOFF, j, -1)
-            cid = lookup(x, -1)
-            if cid >= 0:
-                return (ENTERED, j, cid)
-            i = x - base
-            if 0 <= i < size and memo[i] >= 0:
-                return (MEMO_HIT, j, memo[i])
+            if x in members:
+                return (ENTERED, j, members[x])
+            if base <= x < end and memo[x - base] >= 0:
+                return (MEMO_HIT, j, memo[x - base])
         return (STEP_CUTOFF, max_steps, -1)

@@ -283,9 +283,12 @@ def search_node_cmd(family, path, k1, k2, constant, signed, max_steps,
             break
     if node is None:
         raise click.UsageError(f"({k1}, {k2}) is not a node of family {fam.name!r}")
-    report = search_node(mapping, node, constant=constant,
-                         signed=signed, max_steps=max_steps,
-                         max_magnitude=max_magnitude)
+    try:
+        report = search_node(mapping, node, constant=constant,
+                             signed=signed, max_steps=max_steps,
+                             max_magnitude=max_magnitude)
+    except ValueError as exc:       # a seed node has no bound C
+        raise click.UsageError(str(exc))
     _emit(_report_text(report, fmt), output)
 
 

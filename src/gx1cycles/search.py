@@ -156,7 +156,8 @@ class _Search:
 
 # perfbench traces this name, and reads `starts` as its second argument
 def _discover_block(run, starts):
-    """Brent-walk every start; returns the deferred starts and the links."""
+    """Brent-walk every start; returns the deferred starts, each with the
+    number of cycles registered when it was deferred, and the links."""
     walk, mapping, work = run.engine.walk_brent, run.mapping, run.work
     members, memo, base, size = run.members, run.memo, run.base, len(run.memo)
     max_steps, max_magnitude = run.max_steps, run.max_magnitude
@@ -166,7 +167,7 @@ def _discover_block(run, starts):
         work["steps"] += steps
         i = s - base
         if code == STEP_CUTOFF:
-            deferred.append(s)
+            deferred.append((s, len(run.mins)))
             entry = -3 - (i << run.shift)       # pending on itself
         else:
             if code == MEMO_HIT:
@@ -192,18 +193,25 @@ def _discover_block(run, starts):
 
 # perfbench traces this name, and reads `starts` as its second argument
 def _tally_block(run, starts):
-    """Walk every deferred start against the final member table."""
+    """Walk every deferred start (s, cycles registered when it was
+    deferred) against the final member table, unless no cycle was
+    registered since: then it is a step cutoff with no walk."""
     walk, members, memo, base, size = (run.engine.walk_tally, run.members,
                                        run.memo, run.base, len(run.memo))
     max_steps, max_magnitude, work = run.max_steps, run.max_magnitude, run.work
-    for s in starts:
-        code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
-        work["steps"] += steps
-        if code == MEMO_HIT:
-            work["memo_hits"] += 1
-            entry = run.follow(payload, steps)
+    cycles, cutoff = len(run.mins), run.final(STEP_CUTOFF, max_steps, 0)
+    for s, seen in starts:
+        if seen == cycles:
+            work["tally_skips"] += 1
+            entry = cutoff
         else:
-            entry = run.final(code, steps, payload)
+            code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
+            work["steps"] += steps
+            if code == MEMO_HIT:
+                work["memo_hits"] += 1
+                entry = run.follow(payload, steps)
+            else:
+                entry = run.final(code, steps, payload)
         run.count(entry)
         i = s - base
         if 0 <= i < size:
@@ -243,9 +251,18 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     walk that reaches a deferred start y after j steps is not walked on:
     it becomes a link (y, j) (a link reached after j steps is followed
     to its deferred start, adding the steps).  Deferred starts are then
-    walked against the final member table and the final memo entries;
-    each link takes its deferred start's outcome, shifted as above, with
-    no walk.
+    walked, in the order they were deferred, against the final member
+    table and the final memo entries; each link takes its deferred
+    start's outcome, shifted as above, with no walk.
+
+    Skipped tally walks.  A deferred start after whose deferral no cycle
+    was registered is a step cutoff with no second walk.  Its Brent walk
+    checked the start and iterates 1..max_steps against the magnitude
+    cutoff and the member table, which was then already the final one,
+    and stopped at none of them: by the definition above the start is a
+    step cutoff.  (A memo entry filled later could only pass on a member
+    or a magnitude that Brent would have seen itself.)  So only starts
+    deferred before the last registration are walked again.
 
     Exactness.  An orbit is deterministic and, once it touches a cycle,
     stays in it.  So the first catalog cycle a start touches, and the
@@ -264,8 +281,9 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
 
     meta["steps"] is the number of steps walked: the sum of the step
     counts the walks return (up to the memo hit; up to where Brent closed
-    the cycle, plus the tail walk, for a new cycle), and
-    meta["memo_hits"] the number of walks that stopped at a memo entry.
+    the cycle, plus the tail walk, for a new cycle), meta["memo_hits"]
+    the number of walks that stopped at a memo entry, and
+    meta["tally_skips"] the number of deferred starts not walked again.
     """
     if lo > hi:
         raise ValueError(f"empty range: lo {lo} > hi {hi}")
@@ -285,7 +303,8 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     report = SearchReport(mapping, lo, hi, max_steps, max_magnitude, catalog,
                           dict(run.tallies), dict(run.hits),
                           meta={"steps": run.work["steps"],
-                                "memo_hits": run.work["memo_hits"]})
+                                "memo_hits": run.work["memo_hits"],
+                                "tally_skips": run.work["tally_skips"]})
     assert sum(report.tallies.values()) == report.range_size
     return report
 

@@ -51,6 +51,35 @@ def test_walk_stops_at_the_first_recorded_iterate(t31, walk):
     assert walk(7, 100, 16, {}, memo, 10)[:2] == (MAG_CUTOFF, 2)
 
 
+class _StrictMemo(list):
+    """A memo that fails on a lookup outside its window."""
+
+    def __getitem__(self, i):
+        assert 0 <= i < len(self), f"memo index {i} looked up"
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("walk", ["walk_brent", "walk_tally"])
+def test_cutoff_and_window_edges(t31, walk):
+    walk = getattr(Engine(t31), walk)
+    # an iterate equal to +-max_magnitude is within it, one past is not
+    assert walk(17, 0, 17, {}) == walk(17, 0, 10**30, {})
+    assert walk(17, 0, 16, {})[:2] == (MAG_CUTOFF, 0)
+    assert walk(7, 100, 17, {})[:2] == (MAG_CUTOFF, 3)      # 26, not 17
+    assert walk(7, 100, 16, {})[:2] == (MAG_CUTOFF, 2)
+    # -17 -> -25 -> -37
+    assert walk(-25, 0, 25, {}) == walk(-25, 0, 10**30, {})
+    assert walk(-25, 0, 24, {})[:2] == (MAG_CUTOFF, 0)
+    assert walk(-17, 100, 25, {})[:2] == (MAG_CUTOFF, 2)
+    assert walk(-17, 100, 24, {})[:2] == (MAG_CUTOFF, 1)
+    # 17, iterate 2 of 7, is the first value of the window
+    assert walk(7, 100, 10**30, {}, _StrictMemo([5]), 17) == (MEMO_HIT, 2, 5)
+    # 7 -> 11 -> 17 -> 26 -> 13: 11 and 17 lie just outside the window [12, 16]
+    members = {1: 0, 2: 0}
+    memo = _StrictMemo([-1] * 5)
+    assert walk(7, 100, 10**30, members, memo, 12) == walk(7, 100, 10**30, members)
+
+
 def test_only_walk_brent_stops_at_a_pending_entry(t31):
     engine = Engine(t31)
     memo = array("q", [-2, -3 - 7])          # 26: deferred, 27: a link

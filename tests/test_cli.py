@@ -357,6 +357,8 @@ class TestLambdaBound:
     ["bound", "--family", "collatz", "--counts", "7,5", "--constant", "0", "--format", "json"],
     ["nodes", "--constant", "-1/2"],
     ["search-node", "--family", "collatz", "--k1", "3", "--k2", "2", "--constant", "-1"],
+    ["search-node", "--family", "collatz", "--k1", "0", "--k2", "1"],
+    ["search-node", "--family", "3x1", "--k1", "0", "--k2", "1"],
 ], ids=" ".join)
 def test_bad_argument_is_usage_error(runner, args):
     res = runner.invoke(main, args)

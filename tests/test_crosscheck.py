@@ -214,6 +214,8 @@ def _reference_search(mapping, lo, hi, max_steps, max_magnitude):
 @example(gx.validate(2, [(1, 0), (2, -4)]), 0, 4, 4, 10, 16)
 # a memo hit on the start that closed a cycle must shift by its tail length
 @example(gx.validate(2, [(1, 0), (1, 1)]), 1, 2, 2, 10, 1)
+# starts deferred before a cycle is registered, which they then enter
+@example(gx.matthews_4branch(), -40, 81, 8, 10**30, 1 << 17)
 @settings(max_examples=150, deadline=None)
 def test_search_matches_a_memo_free_reference(mapping, lo, width, max_steps,
                                                max_magnitude, cap):

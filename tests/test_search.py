@@ -118,6 +118,20 @@ class TestRangeMemo:
         assert report.catalog.cycles == memoized.catalog.cycles
 
 
+class TestTallySkip:
+    def test_start_deferred_before_a_later_cycle_is_walked_again(self, mat):
+        # some starts are deferred before a cycle is registered and enter
+        # it within the budget: skipping their tally walk would miscount
+        report = gx.search_range(mat, -40, 40, max_steps=8)
+        assert report.tallies == {"entered": 46, "step_cutoff": 35,
+                                  "magnitude_cutoff": 0}
+
+    def test_starts_deferred_after_the_last_cycle_are_not_walked_again(self, g):
+        report = gx.search_range(g, 101, 3100, max_steps=1000)
+        assert report.meta["tally_skips"] == 455
+        assert report.meta["steps"] < 700_000
+
+
 class TestSearchNode:
     def test_collatz_node_3_2(self, g):
         report = gx.search_node(g, _node(COLLATZ_FAMILY, 3, 2))
