@@ -171,7 +171,10 @@ def nodes(ctx, family, depth, max_k, max_nodes, constant, fmt, output, check_pap
     fam = _node_family(family)
     constant = _parse_constant(constant)
     if check_paper:
-        table = load_reference_table(fam.name)
+        try:
+            table = load_reference_table(fam.name)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         nodes_list = generate_nodes(fam, max_main_nodes=reference_depth(table),
                                     constant=constant)
         checks = check_nodes_against_reference(nodes_list, table)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from ._backend import NEW_CYCLE, STEP_CUTOFF, Engine
 from .affine import AffineMap, compose_affine
 from .mappings import (DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, BranchCounts,
-                       MappingDef)
+                       MappingDef, json_int)
 
 
 class NotAClosedCycleError(ValueError):
@@ -164,7 +164,7 @@ class CycleCatalog:
     @classmethod
     def from_json(cls, obj: dict) -> "CycleCatalog":
         mapping = MappingDef.from_json(obj["mapping"])
-        cycles = tuple(canonicalize(mapping, c["elements"]) for c in obj["cycles"])
+        cycles = tuple(canonicalize(mapping, _elements(c)) for c in obj["cycles"])
         return cls(mapping, cycles, provenance=obj.get("provenance", ""),
                    meta=obj.get("meta", {}))
 
@@ -177,6 +177,11 @@ class CycleCatalog:
     def load(cls, path) -> "CycleCatalog":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
+
+
+def _elements(entry) -> list[int]:
+    """The elements of one cycle entry of a catalog file."""
+    return [json_int(v, "cycle element") for v in entry["elements"]]
 
 
 def load_raw_catalog(path) -> dict:
@@ -307,13 +312,13 @@ def verify_catalog(mapping: MappingDef, catalog) -> CatalogVerification:
     """Re-walk every cycle of a catalog (CycleCatalog or raw JSON dict).
 
     Each entry is re-closed under the mapping and its period, minimum and
-    branch counts recomputed; failures become report entries, nothing is
-    raised.
+    branch counts recomputed; failures become report entries.  Only an
+    element of a raw entry that is not an integer raises (ValueError).
     """
     if isinstance(catalog, CycleCatalog):
         entries = [list(c.elements) for c in catalog.cycles]
     else:
-        entries = [list(c["elements"]) for c in catalog["cycles"]]
+        entries = [_elements(c) for c in catalog["cycles"]]
     checks = []
     seen: set[int] = set()
     for elems in entries:

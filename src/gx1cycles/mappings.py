@@ -79,11 +79,20 @@ class MappingDef:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MappingDef":
-        branches = [(int(b["m"]), int(b["r"])) for b in obj["branches"]]
-        return validate(int(obj["d"]), branches, name=obj.get("name"))
+        branches = [(json_int(b["m"], "m"), json_int(b["r"], "r")) for b in obj["branches"]]
+        return validate(json_int(obj["d"], "d"), branches, name=obj.get("name"))
 
     def __str__(self):
         return self.name or f"mod-{self.d} mapping {list(self.branches)}"
+
+
+def json_int(value, what: str) -> int:
+    """value if it is a JSON integer (an int that is not a bool); a
+    ValueError otherwise.  Mapping and catalog files are read with it, so
+    that 1.7, true or "12" is refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _check(d, branches):

@@ -88,12 +88,12 @@ class _Search:
       (cid << shift | t) << 2 | c -- final: code c (ENTERED, STEP_CUTOFF
                                      or MAG_CUTOFF) at step t, cycle id
                                      cid for ENTERED, else 0;
-      -3 - (i << shift | j)       -- pending: the outcome of the start
-                                     base + i shifted by j steps.  A
-                                     deferred start is pending on itself
-                                     (i its own index, j = 0).
-    t and j are at most max_steps < 2^shift, so an entry fits in 63 bits
-    when the range size and max_steps together need at most 61 bits;
+      -2 - seen                   -- pending: a deferred start, where seen
+                                     is the number of cycles registered
+                                     when the first start of its chain
+                                     was deferred.
+    t is at most max_steps < 2^shift, so an entry fits in 63 bits when
+    the range size and max_steps together need at most 61 bits;
     otherwise the memo is empty and every walk is a plain one.
     """
 
@@ -103,10 +103,9 @@ class _Search:
         self.max_magnitude = max_magnitude
         self.engine = Engine(mapping)
         self.members = self.engine.member_table(())
-        self.mins: list[int] = []       # cycle id -> min element
         self.cycles = []
-        self.tallies = Counter({"entered": 0, "step_cutoff": 0, "magnitude_cutoff": 0})
-        self.hits: Counter = Counter()  # cycle min element -> starts entering it
+        self.outcomes = [0] * 4         # outcome code -> starts
+        self.hits: Counter = Counter()  # cycle id -> starts entering it
         self.work: Counter = Counter()  # steps walked and memo hits
         self.shift = max_steps.bit_length()
         self.mask = (1 << self.shift) - 1
@@ -119,8 +118,7 @@ class _Search:
 
     def register(self, cycle):
         """Cycle id of a newly closed cycle."""
-        cid = len(self.mins)
-        self.mins.append(cycle.min_element)
+        cid = len(self.cycles)
         for v in cycle.elements:
             self.members[v] = cid
         self.cycles.append(cycle)
@@ -130,11 +128,8 @@ class _Search:
         """Entry of a start whose walk reached, after j steps, a start with
         this entry: that start's outcome j steps later, or a step cutoff
         past max_steps."""
-        if entry < -1:
-            steps, entry = j + (-3 - entry & self.mask), entry - j
-        else:
-            steps, entry = j + (entry >> 2 & self.mask), entry + (j << 2)
-        return entry if steps <= self.max_steps else STEP_CUTOFF
+        steps = j + (entry >> 2 & self.mask)
+        return entry + (j << 2) if steps <= self.max_steps else STEP_CUTOFF
 
     def final(self, code, steps, cid):
         """Entry of a final outcome (STEP_CUTOFF itself is a step cutoff)."""
@@ -144,34 +139,31 @@ class _Search:
 
     def count(self, entry):
         """Add a final entry's outcome to the tallies and hits."""
-        code = entry & 3
-        if code == ENTERED:
-            self.tallies["entered"] += 1
-            self.hits[self.mins[entry >> self.shift + 2]] += 1
-        elif code == MAG_CUTOFF:
-            self.tallies["magnitude_cutoff"] += 1
-        else:
-            self.tallies["step_cutoff"] += 1
+        self.outcomes[entry & 3] += 1
+        if entry & 3 == ENTERED:
+            self.hits[entry >> self.shift + 2] += 1
 
 
 # perfbench traces this name, and reads `starts` as its second argument
 def _discover_block(run, starts):
     """Brent-walk every start; returns the deferred starts, each with the
-    number of cycles registered when it was deferred, and the links."""
+    number of cycles registered when the first start of its chain was
+    deferred."""
     walk, mapping, work = run.engine.walk_brent, run.mapping, run.work
     members, memo, base, size = run.members, run.memo, run.base, len(run.memo)
     max_steps, max_magnitude = run.max_steps, run.max_magnitude
-    deferred, links = [], array("q")
+    deferred = []
     for s in starts:
         code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
         work["steps"] += steps
-        i = s - base
-        if code == STEP_CUTOFF:
-            deferred.append((s, len(run.mins)))
-            entry = -3 - (i << run.shift)       # pending on itself
+        if code == MEMO_HIT:
+            work["memo_hits"] += 1
+        if code == STEP_CUTOFF or code == MEMO_HIT and payload < -1:
+            seen = len(run.cycles) if code == STEP_CUTOFF else -2 - payload
+            deferred.append((s, seen))
+            entry = -2 - seen
         else:
             if code == MEMO_HIT:
-                work["memo_hits"] += 1
                 entry = run.follow(payload, steps)
             elif code == NEW_CYCLE:
                 cid = run.register(canonicalize(mapping, payload))
@@ -182,13 +174,10 @@ def _discover_block(run, starts):
                 entry = run.final(ENTERED, steps, cid)
             else:
                 entry = run.final(code, steps, payload)
-            if entry >= 0:
-                run.count(entry)
-            else:
-                links.append(entry)
-        if 0 <= i < size:
-            memo[i] = entry
-    return deferred, links
+            run.count(entry)
+        if 0 <= s - base < size:
+            memo[s - base] = entry
+    return deferred
 
 
 # perfbench traces this name, and reads `starts` as its second argument
@@ -199,7 +188,7 @@ def _tally_block(run, starts):
     walk, members, memo, base, size = (run.engine.walk_tally, run.members,
                                        run.memo, run.base, len(run.memo))
     max_steps, max_magnitude, work = run.max_steps, run.max_magnitude, run.work
-    cycles, cutoff = len(run.mins), run.final(STEP_CUTOFF, max_steps, 0)
+    cycles, cutoff = len(run.cycles), run.final(STEP_CUTOFF, max_steps, 0)
     for s, seen in starts:
         if seen == cycles:
             work["tally_skips"] += 1
@@ -247,22 +236,27 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     cutoff, so is the walked start.  Starts outside the window are walked
     against the memo too, but are not recorded in it.
 
-    Links.  A start whose Brent walk runs out of budget is deferred.  A
-    walk that reaches a deferred start y after j steps is not walked on:
-    it becomes a link (y, j) (a link reached after j steps is followed
-    to its deferred start, adding the steps).  Deferred starts are then
-    walked, in the order they were deferred, against the final member
-    table and the final memo entries; each link takes its deferred
-    start's outcome, shifted as above, with no walk.
+    Deferred starts.  A start is deferred when its Brent walk runs out of
+    budget, or reaches a deferred start; it carries seen, the number of
+    cycles registered when the first start of that chain was deferred.
+    Deferred starts are then handled in the order they were deferred,
+    against the final member table and the final memo entries.
 
-    Skipped tally walks.  A deferred start after whose deferral no cycle
-    was registered is a step cutoff with no second walk.  Its Brent walk
-    checked the start and iterates 1..max_steps against the magnitude
-    cutoff and the member table, which was then already the final one,
-    and stopped at none of them: by the definition above the start is a
-    step cutoff.  (A memo entry filled later could only pass on a member
-    or a magnitude that Brent would have seen itself.)  So only starts
-    deferred before the last registration are walked again.
+    Skipped tally walks.  A deferred start whose seen is the final number
+    of cycles is a step cutoff with no second walk.  If its Brent walk ran
+    out of budget, it checked the start and iterates 1..max_steps against
+    the magnitude cutoff and the member table, which was then already the
+    final one, and stopped at none of them: by the definition above the
+    start is a step cutoff.  (A memo entry filled later could only pass on
+    a member or a magnitude that Brent would have seen itself.)  If it
+    reached the deferred start y after j >= 1 steps, y was deferred
+    earlier with the same seen, so y is a step cutoff by induction, and
+    the walk checked iterates 1..j against the same final table: the
+    start touches nothing up to step j + max_steps and is a step cutoff
+    too.  Every other deferred start is walked again against the final
+    table.  It stops at y's entry, which is final by then since y was
+    handled first, or earlier at another final entry, a member or the
+    magnitude cutoff, and takes that outcome shifted as above.
 
     Exactness.  An orbit is deterministic and, once it touches a cycle,
     stays in it.  So the first catalog cycle a start touches, and the
@@ -290,18 +284,17 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     if max_steps < 0 or max_magnitude <= 0:
         raise ValueError("cutoffs must be positive")
     run = _Search(mapping, lo, hi, max_steps, max_magnitude)
-    deferred, links = _discover_block(run, _by_distance(lo, hi))
-    _tally_block(run, deferred)
-    for link in links:
-        pending = -3 - link
-        run.count(run.follow(run.memo[pending >> run.shift], pending & run.mask))
+    _tally_block(run, _discover_block(run, _by_distance(lo, hi)))
 
     catalog = CycleCatalog(
         mapping, tuple(run.cycles),
         provenance=f"bounded search over [{lo}, {hi}]",
         meta={"max_steps": max_steps, "max_magnitude": max_magnitude})
     report = SearchReport(mapping, lo, hi, max_steps, max_magnitude, catalog,
-                          dict(run.tallies), dict(run.hits),
+                          {"entered": run.outcomes[ENTERED],
+                           "step_cutoff": run.outcomes[STEP_CUTOFF],
+                           "magnitude_cutoff": run.outcomes[MAG_CUTOFF]},
+                          {run.cycles[cid].min_element: n for cid, n in run.hits.items()},
                           meta={"steps": run.work["steps"],
                                 "memo_hits": run.work["memo_hits"],
                                 "tally_skips": run.work["tally_skips"]})

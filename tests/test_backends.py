@@ -82,7 +82,7 @@ def test_cutoff_and_window_edges(t31, walk):
 
 def test_only_walk_brent_stops_at_a_pending_entry(t31):
     engine = Engine(t31)
-    memo = array("q", [-2, -3 - 7])          # 26: deferred, 27: a link
+    memo = array("q", [-2, -2 - 3])          # 26 and 27: deferred
     assert engine.walk_brent(7, 100, 10**30, {}, memo, 26) == (MEMO_HIT, 3, -2)
     members = engine.member_table([(1, 0), (2, 0)])
     assert (engine.walk_tally(7, 100, 10**30, members, memo, 26)

@@ -339,6 +339,7 @@ class TestLambdaBound:
     ["trajectory", "--family", "collatz", "--start", "4", "--steps", "-1"],
     ["nodes", "--family", "matthews"],
     ["nodes", "--max-nodes", "-1"],
+    ["nodes", "--family", "carnielli-T:3", "--check-paper"],
     ["nodes", "--depth", "-1"],
     ["nodes", "--max-k", "-5"],
     ["oracle", "--family", "collatz", "--max-period", "3", "--budget", "-1"],
@@ -366,6 +367,7 @@ def test_bad_argument_is_usage_error(runner, args):
 
 
 _COLLATZ_JSON = json.dumps(gx.collatz().to_json())
+_3X1_JSON = json.dumps(gx.three_x_plus_one().to_json())
 
 
 @pytest.mark.parametrize("command, text", [
@@ -381,9 +383,18 @@ _COLLATZ_JSON = json.dumps(gx.collatz().to_json())
     ("search --family custom:{} --lo 1 --hi 5", '{"d": 2}'),
     ("nodes --family custom:{}", "not json"),
     ("search --family custom:{}.missing --lo 1 --hi 5", "{}"),
+    ("verify {}", '{"mapping": %s, "cycles": [{"elements": [1.7, 2]}]}' % _3X1_JSON),
+    ("verify {}", '{"mapping": %s, "cycles": [{"elements": [true, 2]}]}' % _3X1_JSON),
+    ("verify {}", '{"mapping": %s, "cycles": [{"elements": "12"}]}' % _3X1_JSON),
+    ("search --file {} --lo 1 --hi 5", '{"d": 2.9, "branches": [{"m": 1, "r": 0}, '
+                                       '{"m": 3, "r": -1}]}'),
+    ("search --file {} --lo 1 --hi 5", '{"d": 2, "branches": [{"m": 1.9, "r": 0}, '
+                                       '{"m": 3, "r": -1}]}'),
 ], ids=["verify-empty", "verify-not-json", "verify-no-cycles", "verify-non-integer",
         "verify-bad-mapping", "file-no-branches", "file-not-json", "file-branches-not-list",
-        "file-too-few-branches", "custom-no-branches", "custom-not-json", "custom-missing"])
+        "file-too-few-branches", "custom-no-branches", "custom-not-json", "custom-missing",
+        "verify-float-element", "verify-bool-element", "verify-string-elements",
+        "file-float-modulus", "file-float-multiplier"])
 def test_malformed_input_file_is_usage_error(runner, tmp_path, command, text):
     # input from outside the program: a clean message and exit 2, no traceback
     path = tmp_path / "input.json"
