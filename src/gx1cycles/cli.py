@@ -7,6 +7,7 @@ The precision of the log computations is chosen and raised automatically.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -21,8 +22,8 @@ from .mappings import (DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, MappingDef,
                        MagnitudeCutoff, mapping_from_file, mapping_from_name,
                        trajectory)
 from .nodes import (COLLATZ_CONSTANT, COLLATZ_CONSTANT_FROM_8,
-                    THREE_X1_CONSTANT, bound_C, generate_nodes, iter_nodes,
-                    lambda_exact, ln_lambda, node_family)
+                    THREE_X1_CONSTANT, bound_C, generate_nodes, lambda_exact,
+                    ln_lambda, node_family)
 from .reference import (check_nodes_against_reference, load_reference_table,
                         reference_depth)
 from .search import search_node, search_range
@@ -64,9 +65,11 @@ def _parse_bigint(_ctx, _param, value):
     return cutoff
 
 
-def _node_family(selector):
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError of the library (a bad input) as a usage error."""
     try:
-        return node_family(selector)
+        yield
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -76,10 +79,8 @@ def _resolve_mapping(family, path) -> MappingDef:
         raise click.UsageError("give either --family or --file, not both")
     if not (path or family):
         raise click.UsageError("a mapping is required (--family or --file)")
-    try:
+    with _usage_errors():
         return mapping_from_file(path) if path else mapping_from_name(family)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 def _emit(text, output):
@@ -97,19 +98,19 @@ def _round_to(value, places):
     return None if value is None else float(f"{value:.{places}f}")
 
 
-_mapping_options = [
-    click.option("--family", default=None,
-                 help="collatz | 3x1 | perm:<1-6> | carnielli-T:<d> | "
-                      "carnielli-L:<d> | matthews | custom:<file>"),
-    click.option("--file", "path", type=click.Path(exists=True, dir_okay=False),
-                 default=None, help="mapping definition JSON"),
-]
-
-
 def mapping_options(fn):
-    for opt in reversed(_mapping_options):
-        fn = opt(fn)
-    return fn
+    fn = click.option("--file", "path", type=click.Path(exists=True, dir_okay=False),
+                      default=None, help="mapping definition JSON")(fn)
+    return click.option("--family", default=None,
+                        help="collatz | 3x1 | perm:<1-6> | carnielli-T:<d> | "
+                             "carnielli-L:<d> | matthews | custom:<file>")(fn)
+
+
+def _format(*choices, default="pretty"):
+    return click.option("--format", "fmt", type=click.Choice(choices), default=default)
+
+
+_output = click.option("--output", type=click.Path(dir_okay=False), default=None)
 
 
 @click.group()
@@ -125,12 +126,15 @@ def _node_rows(nodes):
             for n in nodes]
 
 
-def _rows_to_csv(rows):
+_NODE_COLUMNS = ("i", "j", "side", "k1", "k2", "k", "lambda", "ln_C")
+_CYCLE_COLUMNS = ("period", "min", "min_abs", "counts", "hits")
+
+
+def _rows_to_csv(columns, rows):
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(rows[0].keys() if rows else [])
-    for row in rows:
-        writer.writerow("" if v is None else v for v in row.values())
+    writer = csv.DictWriter(buf, columns)    # None is written as ""
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -153,9 +157,8 @@ def _nodes_pretty(rows):
 @click.option("--max-nodes", type=click.IntRange(min=0), default=None)
 @click.option("--constant", default=None,
               help="bound numerator: p/q or collatz | atkin | 3x1")
-@click.option("--format", "fmt", type=click.Choice(["pretty", "json", "csv"]),
-              default="pretty")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@_format("pretty", "json", "csv")
+@_output
 @click.option("--check-paper", is_flag=True,
               help="check the generated table against the bundled published values")
 @click.pass_context
@@ -168,20 +171,18 @@ def nodes(ctx, family, depth, max_k, max_nodes, constant, fmt, output, check_pap
     permutation families follow the lexicographic completion of the four
     conventional orderings.
     """
-    fam = _node_family(family)
+    with _usage_errors():
+        fam = node_family(family)
     constant = _parse_constant(constant)
     if check_paper:
-        try:
+        with _usage_errors():
             table = load_reference_table(fam.name)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
         nodes_list = generate_nodes(fam, max_main_nodes=reference_depth(table),
                                     constant=constant)
         checks = check_nodes_against_reference(nodes_list, table)
         bad = [c for c in checks if not c.ok]
-        for c in checks:
-            if not c.ok:
-                click.echo(str(c))
+        for c in bad:
+            click.echo(str(c))
         click.echo(f"{len(checks) - len(bad)}/{len(checks)} reference checks passed")
         if bad:
             ctx.exit(1)
@@ -194,7 +195,7 @@ def nodes(ctx, family, depth, max_k, max_nodes, constant, fmt, output, check_pap
     if fmt == "json":
         _emit(json.dumps({"family": fam.name, "rows": rows}, indent=1), output)
     elif fmt == "csv":
-        _emit(_rows_to_csv(rows), output)
+        _emit(_rows_to_csv(_NODE_COLUMNS, rows), output)
     else:
         _emit(_nodes_pretty(rows), output)
 
@@ -215,7 +216,7 @@ def _report_text(report, fmt):
     if fmt == "json":
         return json.dumps(report.to_json(), indent=1)
     if fmt == "csv":
-        return _rows_to_csv(_cycle_rows(report))
+        return _rows_to_csv(_CYCLE_COLUMNS, _cycle_rows(report))
     lines = [f"searched [{report.lo}, {report.hi}] of {report.mapping} "
              f"(backend: {report.backend})",
              f"tallies: {report.tallies}",
@@ -243,9 +244,8 @@ _THREADS_HELP = ("accepted for compatibility and ignored: a search runs on "
               show_default=True)
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
               help=_THREADS_HELP)
-@click.option("--format", "fmt", type=click.Choice(["pretty", "json", "csv"]),
-              default="pretty")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@_format("pretty", "json", "csv")
+@_output
 def search(family, path, lo, hi, max_steps, max_magnitude, threads, fmt, output):
     """Search every start in [lo, hi] for cycles."""
     mapping = _resolve_mapping(family, path)
@@ -265,9 +265,8 @@ def search(family, path, lo, hi, max_steps, max_magnitude, threads, fmt, output)
               default=None, help="range sign (default: family convention)")
 @click.option("--max-steps", type=click.IntRange(min=0), default=DEFAULT_MAX_STEPS)
 @click.option("--max-magnitude", callback=_parse_bigint, default=str(DEFAULT_MAX_MAGNITUDE))
-@click.option("--format", "fmt", type=click.Choice(["pretty", "json", "csv"]),
-              default="pretty")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@_format("pretty", "json", "csv")
+@_output
 def search_node_cmd(family, path, k1, k2, constant, signed, max_steps,
                     max_magnitude, fmt, output):
     """Search the range allowed by a node's bound C, keeping its cycles.
@@ -275,23 +274,17 @@ def search_node_cmd(family, path, k1, k2, constant, signed, max_steps,
     (k1, k2) must be a node of the family's PP/PG walk.
     """
     mapping = _resolve_mapping(family, path)
-    fam = _node_family(mapping)
+    with _usage_errors():
+        fam = node_family(mapping)
     constant = _parse_constant(constant)
-    node = None
-    for n in iter_nodes(fam, constant=constant):
-        if (n.k1, n.k2) == (k1, k2):
-            node = n
-            break
-        if n.k > k1 + k2:
-            break
+    node = next((n for n in generate_nodes(fam, max_k=k1 + k2, constant=constant)
+                 if (n.k1, n.k2) == (k1, k2)), None)
     if node is None:
         raise click.UsageError(f"({k1}, {k2}) is not a node of family {fam.name!r}")
-    try:
+    with _usage_errors():       # a seed node has no bound C
         report = search_node(mapping, node, constant=constant,
                              signed=signed, max_steps=max_steps,
                              max_magnitude=max_magnitude)
-    except ValueError as exc:       # a seed node has no bound C
-        raise click.UsageError(str(exc))
     _emit(_report_text(report, fmt), output)
 
 
@@ -325,8 +318,8 @@ def verify(ctx, catalog):
 @click.option("--start", type=int, required=True)
 @click.option("--steps", type=click.IntRange(min=0), required=True)
 @click.option("--max-magnitude", callback=_parse_bigint, default=str(DEFAULT_MAX_MAGNITUDE))
-@click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="pretty")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@_format("pretty", "json")
+@_output
 def trajectory_cmd(family, path, start, steps, max_magnitude, fmt, output):
     """Print a trajectory with branch indices and running (k1, k2)."""
     mapping = _resolve_mapping(family, path)
@@ -334,31 +327,27 @@ def trajectory_cmd(family, path, start, steps, max_magnitude, fmt, output):
         traj = trajectory(mapping, start, steps, max_magnitude=max_magnitude)
     except MagnitudeCutoff as exc:
         raise click.ClickException(str(exc))
-    split = mapping.two_ratio_split()
-    grow = set(split[0]) if split else set()
     if fmt == "json":
         _emit(json.dumps({"mapping": mapping.to_json(),
                           "values": list(traj.values),
                           "branches": list(traj.branches)}, indent=1), output)
         return
-    lines = [" ".join(str(v) for v in traj.values)]
-    if split:
-        k1 = k2 = 0
-        lines.append(f"{'step':>6} {'value':>12} {'branch':>6} {'k1':>5} {'k2':>5}")
-        lines.append(f"{0:>6} {traj.values[0]:>12} {'-':>6} {k1:>5} {k2:>5}")
-        for j, (value, branch) in enumerate(traj.steps, start=1):
-            if branch in grow:
-                k1 += 1
-            else:
-                k2 += 1
-            lines.append(f"{j:>6} {value:>12} {branch:>6} {k1:>5} {k2:>5}")
-    else:
-        counts = [0] * mapping.d
-        lines.append(f"{'step':>6} {'value':>12} {'branch':>6}  counts")
-        lines.append(f"{0:>6} {traj.values[0]:>12} {'-':>6}  {counts}")
-        for j, (value, branch) in enumerate(traj.steps, start=1):
-            counts[branch] += 1
-            lines.append(f"{j:>6} {value:>12} {branch:>6}  {counts}")
+    split = mapping.two_ratio_split()
+
+    def tally(counts):    # running (k1, k2) on a two-slope mapping, else the counts
+        if not split:
+            return f" {counts}"
+        k1 = sum(counts[b] for b in split[0])
+        return f"{k1:>5} {sum(counts) - k1:>5}"
+
+    counts = [0] * mapping.d
+    head = f"{'k1':>5} {'k2':>5}" if split else " counts"
+    lines = [" ".join(str(v) for v in traj.values),
+             f"{'step':>6} {'value':>12} {'branch':>6} {head}",
+             f"{0:>6} {traj.values[0]:>12} {'-':>6} {tally(counts)}"]
+    for j, (value, branch) in enumerate(traj.steps, start=1):
+        counts[branch] += 1
+        lines.append(f"{j:>6} {value:>12} {branch:>6} {tally(counts)}")
     _emit("\n".join(lines) + "\n", output)
 
 
@@ -370,8 +359,8 @@ def trajectory_cmd(family, path, start, steps, max_magnitude, fmt, output):
 @click.option("--budget", type=click.IntRange(min=0), default=10**7, show_default=True,
               help="largest number of branch sequences to visit: the "
                    "prenecklaces of lengths 1 to --max-period")
-@click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="json")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@_format("pretty", "json", default="json")
+@_output
 def oracle(family, path, max_period, budget, fmt, output):
     """Enumerate all cycles up to a period bound exactly.
 
@@ -437,7 +426,7 @@ def _fraction_text(mapping, vec, lam):
 @main.command("lambda")
 @mapping_options
 @click.option("--counts", required=True, help=_COUNTS_HELP)
-@click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="pretty")
+@_format("pretty", "json")
 def lambda_cmd(family, path, counts, fmt):
     """Exact branch-ratio product for given usage counts.
 
@@ -469,15 +458,13 @@ def lambda_cmd(family, path, counts, fmt):
 @click.option("--counts", required=True, help=_COUNTS_HELP)
 @click.option("--constant", default=None,
               help="bound numerator: p/q or collatz | atkin | 3x1")
-@click.option("--format", "fmt", type=click.Choice(["pretty", "json"]), default="pretty")
+@_format("pretty", "json")
 def bound(family, path, counts, constant, fmt):
     """Bound C on the least term of a cycle with the given counts."""
     mapping = _resolve_mapping(family, path)
     vec = _parse_counts(mapping, counts)
-    try:
+    with _usage_errors():
         result = bound_C(mapping, vec, constant=_parse_constant(constant))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     payload = {"C": result.C, "ln_C": _round_to(result.ln_C, 7),
                "constant": str(result.constant), "k_growth": result.k_growth}
     if fmt == "json":

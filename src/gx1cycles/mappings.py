@@ -80,7 +80,10 @@ class MappingDef:
     @classmethod
     def from_json(cls, obj: dict) -> "MappingDef":
         branches = [(json_int(b["m"], "m"), json_int(b["r"], "r")) for b in obj["branches"]]
-        return validate(json_int(obj["d"], "d"), branches, name=obj.get("name"))
+        name = obj.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"name must be a string, got {name!r}")
+        return validate(json_int(obj["d"], "d"), branches, name=name)
 
     def __str__(self):
         return self.name or f"mod-{self.d} mapping {list(self.branches)}"

@@ -276,10 +276,6 @@ def node_family(selector) -> NodeFamily:
         return selector
     if isinstance(selector, MappingDef):
         return family_for_mapping(selector)
-    if selector == "collatz":
-        return COLLATZ_FAMILY
-    if selector == "3x1":
-        return THREE_X1_FAMILY
     return family_for_mapping(mapping_from_name(selector))
 
 

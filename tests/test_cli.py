@@ -208,6 +208,40 @@ class TestTrajectory:
         last = res.output.strip().splitlines()[-1].split()
         assert last == ["11", "-17", "0", "7", "4"]
 
+    def test_two_slope_pretty_text(self, runner):
+        res = invoke(runner, "trajectory", "--family", "perm:3", "--start", 8,
+                     "--steps", 6)
+        assert res.output == (
+            "8 6 5 4 7 11 8\n"
+            "  step        value branch    k1    k2\n"
+            "     0            8      -     0     0\n"
+            "     1            6      2     0     1\n"
+            "     2            5      0     1     1\n"
+            "     3            4      2     1     2\n"
+            "     4            7      1     2     2\n"
+            "     5           11      1     3     2\n"
+            "     6            8      2     3     3\n")
+
+    def test_per_branch_counts_pretty_text(self, runner):
+        res = invoke(runner, "trajectory", "--family", "matthews", "--start", 6,
+                     "--steps", 12)
+        assert res.output == (
+            "6 7 29 21 15 63 267 1134 1417 1062 1327 5639 23965\n"
+            "  step        value branch  counts\n"
+            "     0            6      -  [0, 0, 0, 0]\n"
+            "     1            7      2  [0, 0, 1, 0]\n"
+            "     2           29      3  [0, 0, 1, 1]\n"
+            "     3           21      1  [0, 1, 1, 1]\n"
+            "     4           15      1  [0, 2, 1, 1]\n"
+            "     5           63      3  [0, 2, 1, 2]\n"
+            "     6          267      3  [0, 2, 1, 3]\n"
+            "     7         1134      3  [0, 2, 1, 4]\n"
+            "     8         1417      2  [0, 2, 2, 4]\n"
+            "     9         1062      1  [0, 3, 2, 4]\n"
+            "    10         1327      2  [0, 3, 3, 4]\n"
+            "    11         5639      3  [0, 3, 3, 5]\n"
+            "    12        23965      3  [0, 3, 3, 6]\n")
+
 
 class TestOracle:
     def test_collatz_p5(self, runner):
@@ -332,6 +366,24 @@ class TestLambdaBound:
         assert "lambda exactly 1" in res.output
 
 
+@pytest.mark.parametrize("args, header", [
+    (["search-node", "--family", "perm:3", "--k1", "7", "--k2", "5"],
+     ["period", "min", "min_abs", "counts", "hits"]),
+    (["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--max-steps", "0"],
+     ["period", "min", "min_abs", "counts", "hits"]),
+    (["nodes", "--family", "collatz", "--max-nodes", "0"],
+     ["i", "j", "side", "k1", "k2", "k", "lambda", "ln_C"]),
+    (["nodes", "--family", "collatz", "--max-k", "0"],
+     ["i", "j", "side", "k1", "k2", "k", "lambda", "ln_C"]),
+], ids=["search-node", "search", "nodes-max-nodes", "nodes-max-k"])
+def test_csv_of_an_empty_table_has_its_header(runner, args, header):
+    res = invoke(runner, *args, "--format", "csv")
+    assert res.exit_code == 0, res.output
+    reader = csv.DictReader(io.StringIO(res.output))
+    assert reader.fieldnames == header
+    assert list(reader) == []
+
+
 @pytest.mark.parametrize("args", [
     ["oracle", "--family", "collatz", "--max-period", "-1"],
     ["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--max-steps", "-1"],
@@ -390,11 +442,16 @@ _3X1_JSON = json.dumps(gx.three_x_plus_one().to_json())
                                        '{"m": 3, "r": -1}]}'),
     ("search --file {} --lo 1 --hi 5", '{"d": 2, "branches": [{"m": 1.9, "r": 0}, '
                                        '{"m": 3, "r": -1}]}'),
+    ("search --file {} --lo 1 --hi 5", '{"name": 5, "d": 2, "branches": [{"m": 1, "r": 0}, '
+                                       '{"m": 3, "r": -1}]}'),
+    ("search --file {} --lo 1 --hi 5", '{"name": ["a"], "d": 2, "branches": [{"m": 1, "r": 0}, '
+                                       '{"m": 3, "r": -1}]}'),
 ], ids=["verify-empty", "verify-not-json", "verify-no-cycles", "verify-non-integer",
         "verify-bad-mapping", "file-no-branches", "file-not-json", "file-branches-not-list",
         "file-too-few-branches", "custom-no-branches", "custom-not-json", "custom-missing",
         "verify-float-element", "verify-bool-element", "verify-string-elements",
-        "file-float-modulus", "file-float-multiplier"])
+        "file-float-modulus", "file-float-multiplier", "file-number-name",
+        "file-list-name"])
 def test_malformed_input_file_is_usage_error(runner, tmp_path, command, text):
     # input from outside the program: a clean message and exit 2, no traceback
     path = tmp_path / "input.json"

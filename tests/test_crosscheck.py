@@ -216,6 +216,10 @@ def _reference_search(mapping, lo, hi, max_steps, max_magnitude):
 @example(gx.validate(2, [(1, 0), (1, 1)]), 1, 2, 2, 10, 1)
 # starts deferred before a cycle is registered, which they then enter
 @example(gx.matthews_4branch(), -40, 81, 8, 10**30, 1 << 17)
+# max_steps too wide to pack into a memo entry: the search runs without a memo
+@example(gx.collatz(), 1, 180, 2**60, 10**30, 1 << 17)
+@example(gx.three_x_plus_one(), -150, 301, 2**60, 10**30, 1 << 17)
+@example(gx.matthews_4branch(), -90, 271, 2**60, 10**30, 1 << 17)
 @settings(max_examples=150, deadline=None)
 def test_search_matches_a_memo_free_reference(mapping, lo, width, max_steps,
                                                max_magnitude, cap):
