@@ -274,14 +274,13 @@ def search_node_cmd(family, path, k1, k2, constant, signed, max_steps,
     (k1, k2) must be a node of the family's PP/PG walk.
     """
     mapping = _resolve_mapping(family, path)
-    with _usage_errors():
+    with _usage_errors():   # no two-slope family, or no bound C: a seed, no constant
         fam = node_family(mapping)
-    constant = _parse_constant(constant)
-    node = next((n for n in generate_nodes(fam, max_k=k1 + k2, constant=constant)
-                 if (n.k1, n.k2) == (k1, k2)), None)
-    if node is None:
-        raise click.UsageError(f"({k1}, {k2}) is not a node of family {fam.name!r}")
-    with _usage_errors():       # a seed node has no bound C
+        constant = _parse_constant(constant)
+        node = next((n for n in generate_nodes(fam, max_k=k1 + k2, constant=constant)
+                     if (n.k1, n.k2) == (k1, k2)), None)
+        if node is None:
+            raise click.UsageError(f"({k1}, {k2}) is not a node of family {fam.name!r}")
         report = search_node(mapping, node, constant=constant,
                              signed=signed, max_steps=max_steps,
                              max_magnitude=max_magnitude)

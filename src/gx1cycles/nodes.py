@@ -31,7 +31,7 @@ import mpmath as mp
 from mpmath.libmp import (from_int, from_man_exp, mpf_abs, mpf_add, mpf_exp, mpf_log,
                           mpf_sub, round_nearest, to_float)
 
-from .mappings import BranchCounts, MappingDef, mapping_from_name
+from .mappings import BranchCounts, MappingDef, collatz, mapping_from_name, three_x_plus_one
 
 # Working precision every log evaluation starts from; evaluators raise it
 # themselves whenever a decision or a tolerance needs more bits.
@@ -251,10 +251,23 @@ class NodeFamily:
 COLLATZ_FAMILY = NodeFamily("collatz", 3, 2, 4, COLLATZ_CONSTANT)
 THREE_X1_FAMILY = NodeFamily("3x1", 2, 1, 3, THREE_X1_CONSTANT)
 
+# The mappings the paper's constants were proven for.  MappingDef equality
+# compares d and the branches, not the name, so a copy matches too.
+_PROVEN_FAMILIES = {collatz(): COLLATZ_FAMILY, three_x_plus_one(): THREE_X1_FAMILY}
+
 
 def family_for_mapping(mapping: MappingDef) -> NodeFamily:
-    """The two-slope analysis family of a mapping (e.g. every mod-3
-    permutation variant shares the Collatz family)."""
+    """The two-slope analysis family of a mapping.
+
+    A paper constant depends on the branch offsets, not only on the
+    slopes, so only the Collatz and 3x+1 mappings, and mappings equal to
+    them such as perm:1, get COLLATZ_FAMILY or THREE_X1_FAMILY.  Every
+    other two-slope mapping (perm:2-6 too) gets the family of its slopes,
+    named after it and without a default bound constant.
+    """
+    known = _PROVEN_FAMILIES.get(mapping)
+    if known is not None:
+        return known
     split = mapping.two_ratio_split()
     if split is None:
         raise ValueError(f"{mapping} does not have exactly two distinct branch slopes")
@@ -263,9 +276,6 @@ def family_for_mapping(mapping: MappingDef) -> NodeFamily:
     m_div = mapping.branches[div[0]][0]
     if m_grow < 0 or m_div < 0:
         raise ValueError("two-slope analysis requires positive multipliers")
-    for known in (COLLATZ_FAMILY, THREE_X1_FAMILY):
-        if (mapping.d, m_div, m_grow) == (known.d, known.m_div, known.m_grow):
-            return known
     return NodeFamily(mapping.name or f"two-slope mod {mapping.d}",
                       mapping.d, m_div, m_grow, None)
 
@@ -294,27 +304,28 @@ def bound_C(family, counts, constant=None) -> BoundResult:
 
     `family` is a NodeFamily or a family name, with counts (k1, k2), or
     a MappingDef, with one count per branch (as for lambda_exact).
-    Two-slope families and mappings divide |ln lambda| by k1 (growth
-    uses); generalized mappings divide by the total count outside
-    residue class 0 and require an explicit constant.  Undefined when
-    lambda = 1, when no growth branch was used or when constant <= 0.
+    k_growth is k1 for a family, the count of the growth branches for a
+    two-slope mapping and the total count outside residue class 0 for a
+    generalized one.  The default constant is the family's; for a mapping
+    it is that of `family_for_mapping`, so only the Collatz and 3x+1
+    mappings (and mappings equal to them) have one, and every other
+    mapping needs an explicit constant.  Undefined when lambda = 1, when
+    no growth branch was used or when constant <= 0.
     """
-    if isinstance(family, MappingDef) and family.two_ratio_split() is None:
-        fam = family
-        uses = _uses(fam, counts)
-        k_growth = sum(c for c, _ in uses[1:])
-        if constant is None:
-            raise ValueError("generalized mappings need an explicit bound constant")
+    fam = family if isinstance(family, MappingDef) else node_family(family)
+    uses = _uses(fam, counts)
+    if isinstance(fam, MappingDef):
+        split = fam.two_ratio_split()
+        grow = range(1, fam.d) if split is None else split[0]
+        k_growth = sum(uses[i][0] for i in grow)
+        default = None if split is None else family_for_mapping(fam).constant
     else:
-        if isinstance(family, MappingDef):
-            counts = BranchCounts.from_counts(family, [c for c, _ in _uses(family, counts)])
-        fam = node_family(family)
-        uses = _uses(fam, counts)
-        k_growth = uses[0][0]
-        if constant is None:
-            constant = fam.constant
-        if constant is None:
-            raise ValueError(f"family {fam.name!r} has no default bound constant")
+        k_growth, default = uses[0][0], fam.constant
+    if constant is None:
+        constant = default
+    if constant is None:
+        raise ValueError(f"{fam.name or fam} has no default bound constant; "
+                         "give an explicit one")
     terms, negative = _terms(fam.d, uses)
     constant = _positive(constant)
     if negative:

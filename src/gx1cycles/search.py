@@ -314,38 +314,28 @@ def search_node(mapping: MappingDef, node: Node, constant=None,
     integers and PG nodes on negative ones.  Pass signed="positive",
     "negative" or "both" to override.
     """
+    if signed is None:
+        signed = "negative" if node.family.name == "3x1" and node.side == "PG" else "positive"
+    if signed not in ("positive", "negative", "both"):
+        raise ValueError(f"signed must be positive/negative/both, got {signed!r}")
     bound = bound_C(node.family, (node.k1, node.k2), constant=constant)
     limit = int(bound.C)
     meta = {"node": node.label, "k1": node.k1, "k2": node.k2,
             "C": bound.C, "ln_C": bound.ln_C}
-    if signed is None:
-        if node.family.name == "3x1":
-            signed = "positive" if node.side == "PP" else "negative"
-        else:
-            signed = "positive"
     if limit < 1:
-        report = SearchReport(mapping, 1, 0, max_steps, max_magnitude,
-                              CycleCatalog(mapping, ()),
-                              {"entered": 0, "step_cutoff": 0, "magnitude_cutoff": 0},
-                              {}, meta=dict(meta, empty="bound C below 1"))
-        return report
-    if signed == "positive":
-        lo, hi = 1, limit
-    elif signed == "negative":
-        lo, hi = -limit, -1
-    elif signed == "both":
-        lo, hi = -limit, limit
-    else:
-        raise ValueError(f"signed must be positive/negative/both, got {signed!r}")
+        return SearchReport(mapping, 1, 0, max_steps, max_magnitude,
+                            CycleCatalog(mapping, ()),
+                            {"entered": 0, "step_cutoff": 0, "magnitude_cutoff": 0},
+                            {}, meta=dict(meta, empty="bound C below 1"))
+    lo = 1 if signed == "positive" else -limit
+    hi = -1 if signed == "negative" else limit
     full = search_range(mapping, lo, hi, max_steps=max_steps,
                         max_magnitude=max_magnitude)
     want = (node.k1, node.k2)
-    kept = tuple(c for c in full.catalog.cycles
-                 if c.counts.k1 is not None and c.counts.as_pair() == want)
+    kept = tuple(c for c in full.catalog.cycles if (c.counts.k1, c.counts.k2) == want)
     catalog = CycleCatalog(mapping, kept,
                            provenance=f"node-guided search for counts {want} in [{lo}, {hi}]")
-    hits = {mn: n for mn, n in full.hits.items()
-            if mn in {c.min_element for c in kept}}
+    hits = {c.min_element: full.hits[c.min_element] for c in kept}
     return SearchReport(mapping, lo, hi, max_steps, max_magnitude, catalog,
                         full.tallies, hits, meta={**meta, **full.meta})
 

@@ -48,6 +48,17 @@ class TestNodes:
         rows = json.loads(res.output)["rows"]
         assert [(r["k1"], r["k2"]) for r in rows] == [(0, 1), (1, 0)]
 
+    def test_variant_without_a_proven_constant_has_no_ln_c(self, runner):
+        # perm:3 has the Collatz slopes but not its offsets; perm:1 is collatz
+        for family, name, has_ln_c in (("perm:3", "perm:3", False),
+                                       ("perm:1", "collatz", True)):
+            res = invoke(runner, "nodes", "--family", family, "--depth", "3",
+                         "--format", "json")
+            obj = json.loads(res.output)
+            assert obj["family"] == name
+            # row 0 is the seed with k1 = 0, which never has one
+            assert all((r["ln_C"] is not None) == has_ln_c for r in obj["rows"][1:])
+
     def test_check_paper_both_families(self, runner):
         for family in ("collatz", "3x1"):
             res = invoke(runner, "nodes", "--family", family, "--check-paper")
@@ -367,7 +378,7 @@ class TestLambdaBound:
 
 
 @pytest.mark.parametrize("args, header", [
-    (["search-node", "--family", "perm:3", "--k1", "7", "--k2", "5"],
+    (["search-node", "--family", "3x1", "--k1", "12", "--k2", "7"],
      ["period", "min", "min_abs", "counts", "hits"]),
     (["search", "--family", "collatz", "--lo", "1", "--hi", "5", "--max-steps", "0"],
      ["period", "min", "min_abs", "counts", "hits"]),
@@ -412,6 +423,8 @@ def test_csv_of_an_empty_table_has_its_header(runner, args, header):
     ["search-node", "--family", "collatz", "--k1", "3", "--k2", "2", "--constant", "-1"],
     ["search-node", "--family", "collatz", "--k1", "0", "--k2", "1"],
     ["search-node", "--family", "3x1", "--k1", "0", "--k2", "1"],
+    ["search-node", "--family", "perm:3", "--k1", "3", "--k2", "2"],
+    ["bound", "--family", "perm:3", "--counts", "1,0,0"],
 ], ids=" ".join)
 def test_bad_argument_is_usage_error(runner, args):
     res = runner.invoke(main, args)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import gx1cycles as gx
 from gx1cycles import nodes as nodes_module
-from gx1cycles.nodes import (COLLATZ_FAMILY, THREE_X1_FAMILY, NodeFamily,
+from gx1cycles.nodes import (COLLATZ_CONSTANT, COLLATZ_FAMILY, THREE_X1_FAMILY, NodeFamily,
                              _is_exact_one, _LogEvaluator, family_for_mapping,
                              lambda_in_open_interval)
 
@@ -219,11 +219,17 @@ class TestBoundC:
             gx.bound_C(m, (0, 1), constant=Fraction(1, 2))
 
     def test_mapping_resolves_to_family(self, h):
-        # variant mappings share the Collatz two-slope family
+        # perm:3 shares the Collatz slopes but not its offsets, so it has
+        # no default constant: its own 6-cycle, least term 4, lies above
+        # the C = 2.48 that 7/24 would give
         counts = gx.branch_counts(gx.detect_cycle(h, 8))
-        result = gx.bound_C(h, counts)
-        assert result.constant == Fraction(7, 24)
+        with pytest.raises(ValueError, match="no default bound constant"):
+            gx.bound_C(h, counts)
+        result = gx.bound_C(h, counts, constant=COLLATZ_CONSTANT)
         assert result.k_growth == 3
+        assert result.C < 4
+        # perm:1 is the Collatz mapping, so it keeps the paper's constant
+        assert gx.bound_C(gx.permutation_variant(1), (5, 7, 0)).constant == COLLATZ_CONSTANT
 
     @pytest.mark.parametrize("selector,vector,pair", [
         ("collatz", (5, 3, 4), (7, 5)),     # division branch 0
@@ -231,10 +237,33 @@ class TestBoundC:
         ("perm:3", (3, 4, 5), (7, 5)),      # division branch 2
     ])
     def test_mapping_reads_one_count_per_branch(self, selector, vector, pair):
+        # perm:3 has no default constant, so both sides are given one
+        constant = COLLATZ_CONSTANT if selector == "perm:3" else None
         mapping = gx.mapping_from_name(selector)
-        result = gx.bound_C(mapping, vector)
-        assert result == gx.bound_C(gx.node_family(mapping), pair)
+        result = gx.bound_C(mapping, vector, constant=constant)
+        assert result == gx.bound_C(gx.node_family(mapping), pair, constant=constant)
         assert result.k_growth == pair[0]
+
+    @pytest.mark.parametrize("selector", ["collatz", "3x1"] + [f"perm:{i}" for i in range(1, 7)])
+    def test_default_bound_holds_on_every_small_cycle(self, selector):
+        # a default constant must bound the least |element| of every cycle
+        # the oracle finds; the Collatz slopes alone do not make 7/24 hold
+        # (perm:3's fixed point 9 would get C = 1.01), so perm:2-6 have none
+        mapping = gx.mapping_from_name(selector)
+        has_default = family_for_mapping(mapping).constant is not None
+        max_period = 16 if selector == "3x1" else 10
+        cycles = [c for c in gx.enumerate_cycles_exact(mapping, max_period).cycles
+                  if c.counts.k1]
+        assert cycles
+        for c in cycles:
+            if not has_default:
+                with pytest.raises(ValueError, match="no default bound constant"):
+                    gx.bound_C(mapping, c.counts)
+                continue
+            C = gx.bound_C(mapping, c.counts).C
+            least = abs(c.min_abs_element)
+            assert abs(least - C) > 1e-9 * C, (c.elements, C)   # a float C decides it
+            assert least < C, (c.elements, c.counts.counts, C)
 
 
 class TestGenerateNodes:
@@ -399,7 +428,12 @@ class TestFamilies:
     def test_family_for_mapping(self, g, t31, h):
         assert family_for_mapping(g) is COLLATZ_FAMILY
         assert family_for_mapping(t31) is THREE_X1_FAMILY
-        assert family_for_mapping(h) is COLLATZ_FAMILY
+        assert family_for_mapping(gx.permutation_variant(1)) is COLLATZ_FAMILY
+        assert family_for_mapping(gx.validate(2, t31.branches)) is THREE_X1_FAMILY
+        # the Collatz slopes with other offsets: no proven constant
+        fam = family_for_mapping(h)
+        assert (fam.name, fam.d, fam.m_div, fam.m_grow) == ("perm:3", 3, 2, 4)
+        assert fam.constant is None
 
     def test_family_for_carnielli(self):
         fam = family_for_mapping(gx.carnielli_T(5))
@@ -412,7 +446,8 @@ class TestFamilies:
 
     def test_node_family_selector(self):
         assert gx.node_family("collatz") is COLLATZ_FAMILY
-        assert gx.node_family("perm:3") is COLLATZ_FAMILY
+        assert gx.node_family("perm:1") is COLLATZ_FAMILY
+        assert gx.node_family("perm:3").constant is None
         assert gx.node_family(THREE_X1_FAMILY) is THREE_X1_FAMILY
 
     def test_bad_family_shape_rejected(self):

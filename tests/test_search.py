@@ -160,6 +160,12 @@ class TestSearchNode:
         assert report.range_size == 0 and len(report.catalog) == 0
         assert "empty" in report.meta
 
+    def test_bad_sign_rejected_before_the_bound(self):
+        fam = gx.family_for_mapping(gx.carnielli_T(3))
+        with pytest.raises(ValueError, match="signed"):
+            gx.search_node(gx.carnielli_T(3), _node(fam, 1, 1),
+                           constant=Fraction(1, 100), signed="bogus")
+
     def test_sign_override(self, g):
         node = _node(COLLATZ_FAMILY, 3, 2)
         report = gx.search_node(g, node, signed="both")
@@ -167,8 +173,9 @@ class TestSearchNode:
         assert mins == [-9, 4]
 
     def test_variant3_node_guided_94_cycle(self, h):
-        # the variant shares the Collatz family, so its long cycle sits
-        # inside the bound of the node with matching counts
+        # the node is the Collatz one, so its range comes from 7/24, a
+        # constant not proven for the variant (which has none); its long
+        # cycle still happens to sit inside that range
         report = gx.search_node(h, _node(COLLATZ_FAMILY, 55, 39))
         assert any(c.period == 94 and c.min_element == 144
                    for c in report.catalog.cycles)
