@@ -8,9 +8,9 @@ The precision of the log computations is chosen and raised automatically.
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import click
@@ -131,6 +131,8 @@ _CYCLE_COLUMNS = ("period", "min", "min_abs", "counts", "hits")
 
 
 def _rows_to_csv(columns, rows):
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, columns)    # None is written as ""
     writer.writeheader()
@@ -464,8 +466,10 @@ def bound(family, path, counts, constant, fmt):
     vec = _parse_counts(mapping, counts)
     with _usage_errors():
         result = bound_C(mapping, vec, constant=_parse_constant(constant))
-    payload = {"C": result.C, "ln_C": _round_to(result.ln_C, 7),
-               "constant": str(result.constant), "k_growth": result.k_growth}
+    # JSON has no Infinity: a C beyond the float range is null, and ln_C holds it
+    payload = {"C": None if math.isinf(result.C) else result.C,
+               "ln_C": _round_to(result.ln_C, 7), "constant": str(result.constant),
+               "k_growth": result.k_growth}
     if fmt == "json":
         click.echo(json.dumps(payload, indent=1))
     else:

@@ -15,7 +15,9 @@ it cannot settle the product at the current bits: a product equal to 1
 never settles, so a degenerate family is still caught at its first such
 product.  The other comparisons against 1 (`sign`,
 `lambda_in_open_interval`) and the bound C use adaptive-precision
-logarithms with a certified error bound.
+logarithms with a certified error bound.  mpmath is imported inside the
+functions that take a logarithm, so a process that only walks, searches
+or enumerates cycles never loads it.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-import mpmath as mp
-from mpmath.libmp import (from_int, from_man_exp, mpf_abs, mpf_add, mpf_exp, mpf_log,
-                          mpf_sub, round_nearest, to_float)
 
 from .mappings import BranchCounts, MappingDef, collatz, mapping_from_name, three_x_plus_one
 
@@ -114,6 +112,8 @@ class _LogEvaluator:
 
     def evaluate(self, terms: Sequence[tuple[int, int]]):
         """(value, error_bound) at the current working precision."""
+        import mpmath as mp
+
         with mp.workprec(self.prec):
             total = mp.mpf(0)
             scale = mp.mpf(0)
@@ -153,13 +153,15 @@ class _LogEvaluator:
 def _within_tolerance(value, err) -> bool:
     """The stop condition of `tight`: error below 2^-96 absolute and
     2^-64 relative."""
+    import mpmath as mp
+
     return err <= mp.mpf(2) ** -96 and (
         value == 0 or err <= abs(value) * mp.mpf(2) ** -64)
 
 
 class LnLambda(NamedTuple):
-    value: mp.mpf
-    error_bound: mp.mpf
+    value: "mpmath.mpf"
+    error_bound: "mpmath.mpf"
     negative: bool   # true when the exact ratio product is negative
 
 
@@ -205,6 +207,8 @@ def ln_lambda(mapping: MappingDef, counts,
     flag is set (with a warning), since the bound theory assumes
     positive branch ratios.
     """
+    import mpmath as mp
+
     bits = max(64, precision_bits)
     terms, negative = _terms(mapping.d, _uses(mapping, counts))
     if negative:
@@ -334,6 +338,8 @@ def bound_C(family, counts, constant=None) -> BoundResult:
         raise ValueError("bound undefined without growth-branch uses (k_growth = 0)")
     if _is_exact_one(terms):
         raise ValueError("bound undefined for lambda exactly 1")
+    import mpmath as mp
+
     ev = _LogEvaluator()
     value = ev.tight(terms)
     with mp.workprec(ev.prec):
@@ -387,6 +393,8 @@ def _scaled_logs(fam: NodeFamily, bits: int) -> tuple[int, int]:
     Evaluated at bits + 32 bits, so each is within one unit of the exact
     scaled log: half a unit of rounding plus far less of evaluation error.
     """
+    import mpmath as mp
+
     with mp.workprec(bits + 32):
         ln_d = mp.ln(fam.d)
         return tuple(int(mp.nint(mp.ldexp(mp.ln(m) - ln_d, bits)))
@@ -411,14 +419,26 @@ def iter_nodes(family, constant=None) -> Iterator[Node]:
     degenerate), then bits doubles and A and B are recomputed; bits only
     grows.  Testing there alone is enough: a product equal to 1 has
     |r| <= k1 + k2 < err at every precision, so it never settles and
-    meets the test on its first pass.  The float outputs are then
-    rounded from _OUT_PREC-bit values: the ratio product exp(r * 2^-bits)
-    and ln C = ln constant + ln k1 - ln|r * 2^-bits|, without forming C.
+    meets the test on its first pass.
+
+    The float outputs are then rounded from _OUT_PREC-bit values.  ln C =
+    ln constant + ln(k1 * 2^bits / |r|) takes one logarithm, of the
+    quotient q * 2^-s, where q = (k1 << (bits + s)) // |r| has at least
+    _OUT_PREC + 8 bits; C itself is never formed.  The ratio product is
+    exp(r * 2^-bits), except when |r| + err < 2^(bits-56): then |ln lambda|
+    < 2^-56, so lambda lies strictly between the rounding midpoints
+    1 - 2^-54 and 1 + 2^-53 and its correctly rounded float is 1.0.
     """
+    import mpmath as mp
+    # measure works on raw mpmath.libmp values: the mpf wrappers would cost
+    # more than the arithmetic
+    from mpmath.libmp import from_man_exp, mpf_add, mpf_exp, mpf_log, round_nearest, to_float
+
+    prec, rnd = _OUT_PREC, round_nearest
     fam = node_family(family)
     constant = fam.constant if constant is None else _positive(constant)
     if constant is not None:
-        with mp.workprec(_OUT_PREC):
+        with mp.workprec(prec):
             ln_constant = (mp.ln(constant.numerator) - mp.ln(constant.denominator))._mpf_
     bits = DEFAULT_PRECISION_BITS
     a, b = _scaled_logs(fam, bits)
@@ -437,17 +457,17 @@ def iter_nodes(family, constant=None) -> Iterator[Node]:
                 raise ArithmeticError("log-linear form did not resolve")
             bits *= 2
             a, b = _scaled_logs(fam, bits)
-        # raw mpmath.libmp values: the mpf wrappers would cost more than
-        # the arithmetic
-        prec, rnd = _OUT_PREC, round_nearest
-        ln_lam = from_man_exp(r, -bits, prec, rnd)
-        lam = to_float(mpf_exp(ln_lam, prec, rnd), rnd=rnd)
+        abs_r = abs(r)
+        if abs_r + err < 1 << (bits - 56):
+            lam = 1.0
+        else:
+            lam = to_float(mpf_exp(from_man_exp(r, -bits, prec, rnd), prec, rnd), rnd=rnd)
         ln_c = None
         if k1 and constant is not None:
-            ln_k1 = mpf_log(from_int(k1, prec, rnd), prec, rnd)
-            ln_abs = mpf_log(mpf_abs(ln_lam), prec, rnd)
-            ln_c = to_float(mpf_sub(mpf_add(ln_constant, ln_k1, prec, rnd), ln_abs, prec, rnd),
-                            rnd=rnd)
+            s = max(0, prec + 8 + abs_r.bit_length() - k1.bit_length() - bits)
+            q = (k1 << (bits + s)) // abs_r
+            ln_q = mpf_log(from_man_exp(q, -s, prec, rnd), prec, rnd)
+            ln_c = to_float(mpf_add(ln_constant, ln_q, prec, rnd), rnd=rnd)
         return ("PP" if r < 0 else "PG"), lam, ln_c
 
     pp, pg = (0, 1), (1, 0)

@@ -13,6 +13,7 @@ across runs; search_range's docstring argues why.
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -312,13 +313,17 @@ def search_node(mapping: MappingDef, node: Node, constant=None,
     The sign of the range defaults to positive; for the 3x+1 family the
     displacement term is positive, so PP nodes can only close on positive
     integers and PG nodes on negative ones.  Pass signed="positive",
-    "negative" or "both" to override.
+    "negative" or "both" to override.  A bound C beyond the float range
+    raises ValueError: the integer range cannot be taken from it.
     """
     if signed is None:
         signed = "negative" if node.family.name == "3x1" and node.side == "PG" else "positive"
     if signed not in ("positive", "negative", "both"):
         raise ValueError(f"signed must be positive/negative/both, got {signed!r}")
     bound = bound_C(node.family, (node.k1, node.k2), constant=constant)
+    if math.isinf(bound.C):
+        raise ValueError(f"bound C = exp({bound.ln_C:.7f}) is beyond the float range; "
+                         "its integer floor is not computed")
     limit = int(bound.C)
     meta = {"node": node.label, "k1": node.k1, "k2": node.k2,
             "C": bound.C, "ln_C": bound.ln_C}

@@ -2,8 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,6 +172,64 @@ class TestSearch:
         res = runner.invoke(main, ["search-node", "--family", "collatz",
                                    "--k1", "5", "--k2", "1"])
         assert res.exit_code == 2
+
+
+@pytest.fixture(scope="module")
+def float_range_node():
+    """The first Collatz node whose bound C passes the float range and on
+    which bound_C resolves (ln C = 712.249)."""
+    node = gx.generate_nodes("collatz", max_nodes=2786)[2785]
+    assert node.ln_c > 709.78
+    return node
+
+
+def test_bound_beyond_the_float_range_prints_null_c(runner, float_range_node):
+    n = float_range_node
+    res = invoke(runner, "bound", "--family", "collatz", "--counts", f"{n.k1},{n.k2}",
+                 "--format", "json")
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    payload = json.loads(res.output, parse_constant=reject)
+    assert payload["C"] is None
+    assert payload["ln_C"] == pytest.approx(n.ln_c, abs=1e-6)
+
+
+def test_search_node_beyond_the_float_range_is_usage_error(runner, float_range_node):
+    n = float_range_node
+    res = runner.invoke(main, ["search-node", "--family", "collatz",
+                               "--k1", str(n.k1), "--k2", str(n.k2)])
+    assert res.exit_code == 2, res.output
+    assert "beyond the float range" in res.output
+
+
+def test_commands_without_a_log_do_not_load_mpmath(tmp_path):
+    calls = [["search", "--family", "collatz", "--lo", "-20", "--hi", "20"],
+             ["search", "--family", "3x1", "--lo", "1", "--hi", "50", "--format", "csv"],
+             ["oracle", "--family", "collatz", "--max-period", "5"],
+             ["verify", str(catalog_path("collatz"))],
+             ["trajectory", "--family", "3x1", "--start", "7", "--steps", "5"]]
+    script = (
+        "import json, sys\n"
+        "from click.testing import CliRunner\n"
+        "from gx1cycles.cli import main\n"
+        "runner = CliRunner()\n"
+        "codes = [runner.invoke(main, argv).exit_code for argv in json.loads(sys.argv[1])]\n"
+        "loaded = 'mpmath' in sys.modules\n"
+        "code = runner.invoke(main, ['lambda', '--family', 'collatz', '--counts', '3,2'])"
+        ".exit_code\n"
+        "print(json.dumps([codes, loaded, code]))\n")
+    src = str(Path(gx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, lambda_code = json.loads(proc.stdout)
+    assert codes == [0] * len(calls)
+    assert not loaded
+    assert lambda_code == 0
 
 
 class TestVerify:

@@ -359,6 +359,27 @@ class TestGenerateNodes:
             assert n.value == float(lam), (n.k1, n.k2)
             assert (n.side == "PP") == (lam < 1), (n.k1, n.k2)
 
+    @pytest.mark.parametrize("family, count, constant", [
+        (COLLATZ_FAMILY, 3000, None), (THREE_X1_FAMILY, 3001, None),
+        ("carnielli-T:3", 2000, Fraction(1, 2)), ("carnielli-T:5", 2000, Fraction(1, 2)),
+    ], ids=["collatz", "3x1", "carnielli-T:3", "carnielli-T:5"])
+    def test_deep_floats_match_a_high_precision_reference(self, family, count, constant):
+        # the deep nodes, where lambda rounds to 1.0 and ln C takes one log,
+        # against ln lambda at 2*bits(k) + 256 bits
+        fam = gx.node_family(family)
+        const = constant or fam.constant
+        for n in gx.generate_nodes(fam, max_nodes=count, constant=constant):
+            with mp.workprec(2 * n.k.bit_length() + 256):
+                ln_lam = (n.k1 * mp.ln(fam.m_grow) + n.k2 * mp.ln(fam.m_div)
+                          - n.k * mp.ln(fam.d))
+                assert n.value == float(mp.exp(ln_lam)), (n.k1, n.k2)
+                if n.k1:
+                    ln_c = (mp.ln(const.numerator) - mp.ln(const.denominator)
+                            + mp.ln(n.k1) - mp.ln(abs(ln_lam)))
+                    assert n.ln_c == float(ln_c), (n.k1, n.k2)
+                else:
+                    assert n.ln_c is None
+
     @pytest.mark.parametrize("family", [COLLATZ_FAMILY, THREE_X1_FAMILY],
                              ids=lambda f: f.name)
     def test_walk_ln_c_matches_bound(self, family):
