@@ -96,6 +96,10 @@ class _Search:
     t is at most max_steps < 2^shift, so an entry fits in 63 bits when
     the range size and max_steps together need at most 61 bits;
     otherwise the memo is empty and every walk is a plain one.
+
+    reach is the largest |v| over the window's ends and every registered
+    member, and far the walk_brent argument that Engine.far derives from
+    it: no iterate beyond far is one of them.
     """
 
     def __init__(self, mapping, lo, hi, max_steps, max_magnitude):
@@ -116,6 +120,8 @@ class _Search:
         right = min(hi - p, n - 1 - min(p - lo, n // 2))
         self.base = p + right - n + 1
         self.memo = array("q", [-1]) * n
+        self.reach = max(abs(self.base), abs(self.base + n - 1)) if n else 0
+        self.far = self.engine.far(self.reach, max_magnitude)
 
     def register(self, cycle):
         """Cycle id of a newly closed cycle."""
@@ -123,14 +129,9 @@ class _Search:
         for v in cycle.elements:
             self.members[v] = cid
         self.cycles.append(cycle)
+        self.reach = max(self.reach, -cycle.min_element, max(cycle.elements))
+        self.far = self.engine.far(self.reach, self.max_magnitude)
         return cid
-
-    def follow(self, entry, j):
-        """Entry of a start whose walk reached, after j steps, a start with
-        this entry: that start's outcome j steps later, or a step cutoff
-        past max_steps."""
-        steps = j + (entry >> 2 & self.mask)
-        return entry + (j << 2) if steps <= self.max_steps else STEP_CUTOFF
 
     def final(self, code, steps, cid):
         """Entry of a final outcome (STEP_CUTOFF itself is a step cutoff)."""
@@ -138,46 +139,54 @@ class _Search:
             cid = 0
         return ((cid << self.shift | steps) << 2) | code
 
-    def count(self, entry):
-        """Add a final entry's outcome to the tallies and hits."""
-        self.outcomes[entry & 3] += 1
-        if entry & 3 == ENTERED:
-            self.hits[entry >> self.shift + 2] += 1
-
 
 # perfbench traces this name, and reads `starts` as its second argument
 def _discover_block(run, starts):
     """Brent-walk every start; returns the deferred starts, each with the
     number of cycles registered when the first start of its chain was
     deferred."""
-    walk, mapping, work = run.engine.walk_brent, run.mapping, run.work
+    walk, mapping, outcomes, hits = run.engine.walk_brent, run.mapping, run.outcomes, run.hits
     members, memo, base, size = run.members, run.memo, run.base, len(run.memo)
-    max_steps, max_magnitude = run.max_steps, run.max_magnitude
+    max_steps, max_magnitude, far = run.max_steps, run.max_magnitude, run.far
+    mask, cid_shift = run.mask, run.shift + 2
+    walked = memo_hits = 0
     deferred = []
     for s in starts:
-        code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
-        work["steps"] += steps
+        code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base, far)
+        walked += steps
         if code == MEMO_HIT:
-            work["memo_hits"] += 1
-        if code == STEP_CUTOFF or code == MEMO_HIT and payload < -1:
-            seen = len(run.cycles) if code == STEP_CUTOFF else -2 - payload
+            memo_hits += 1
+            if payload < -1:
+                deferred.append((s, -2 - payload))
+                entry = payload
+            elif steps + (payload >> 2 & mask) <= max_steps:
+                # the reached start's outcome, `steps` later; past the
+                # budget it is a step cutoff
+                entry = payload + (steps << 2)
+            else:
+                entry = STEP_CUTOFF
+        elif code == STEP_CUTOFF:
+            seen = len(run.cycles)
             deferred.append((s, seen))
             entry = -2 - seen
+        elif code == NEW_CYCLE:
+            cid = run.register(canonicalize(mapping, payload))
+            far = run.far
+            # Brent touched no member and no cutoff before it closed the
+            # cycle, so this walk stops where the orbit first enters it
+            steps = run.engine.walk_tally(s, max_steps, max_magnitude, members)[1]
+            walked += steps
+            entry = run.final(ENTERED, steps, cid)
         else:
-            if code == MEMO_HIT:
-                entry = run.follow(payload, steps)
-            elif code == NEW_CYCLE:
-                cid = run.register(canonicalize(mapping, payload))
-                # Brent touched no member and no cutoff before it closed the
-                # cycle, so this walk stops where the orbit first enters it
-                steps = run.engine.walk_tally(s, max_steps, max_magnitude, members)[1]
-                work["steps"] += steps
-                entry = run.final(ENTERED, steps, cid)
-            else:
-                entry = run.final(code, steps, payload)
-            run.count(entry)
+            entry = run.final(code, steps, payload)
+        if entry >= 0:
+            outcomes[entry & 3] += 1
+            if entry & 3 == ENTERED:
+                hits[entry >> cid_shift] += 1
         if 0 <= s - base < size:
             memo[s - base] = entry
+    run.work["steps"] += walked
+    run.work["memo_hits"] += memo_hits
     return deferred
 
 
@@ -188,24 +197,34 @@ def _tally_block(run, starts):
     registered since: then it is a step cutoff with no walk."""
     walk, members, memo, base, size = (run.engine.walk_tally, run.members,
                                        run.memo, run.base, len(run.memo))
-    max_steps, max_magnitude, work = run.max_steps, run.max_magnitude, run.work
+    max_steps, max_magnitude = run.max_steps, run.max_magnitude
+    outcomes, hits, mask, cid_shift = run.outcomes, run.hits, run.mask, run.shift + 2
     cycles, cutoff = len(run.cycles), run.final(STEP_CUTOFF, max_steps, 0)
+    walked = memo_hits = skips = 0
     for s, seen in starts:
         if seen == cycles:
-            work["tally_skips"] += 1
+            skips += 1
             entry = cutoff
         else:
             code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
-            work["steps"] += steps
+            walked += steps
             if code == MEMO_HIT:
-                work["memo_hits"] += 1
-                entry = run.follow(payload, steps)
+                memo_hits += 1
+                if steps + (payload >> 2 & mask) <= max_steps:   # as in _discover_block
+                    entry = payload + (steps << 2)
+                else:
+                    entry = STEP_CUTOFF
             else:
                 entry = run.final(code, steps, payload)
-        run.count(entry)
+        outcomes[entry & 3] += 1
+        if entry & 3 == ENTERED:
+            hits[entry >> cid_shift] += 1
         i = s - base
         if 0 <= i < size:
             memo[i] = entry
+    run.work["steps"] += walked
+    run.work["memo_hits"] += memo_hits
+    run.work["tally_skips"] += skips
 
 
 def search_range(mapping: MappingDef, lo: int, hi: int,
@@ -269,6 +288,11 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     no memo.  For the same reason a deferred start is on no catalog
     cycle, so a walk that reaches it touched none before.  The report is
     therefore a pure function of the mapping, the range and the cutoffs.
+    Beyond far (_Search) a walk jumps K steps at a time, but only when
+    the jump's table row proves that none of the K iterates is past a
+    cutoff, a member, a memo start or Brent's tortoise, and Brent moves
+    the tortoise at most at the last of them (Engine.walk_brent); so
+    every walk returns the outcome and step count of a step-by-step walk.
 
     A walk that closes a new cycle returns the cycle from the iterate
     where Brent closed it; the start's tail length then comes from a

@@ -1,6 +1,7 @@
 """The walker and the backend name that reports carry."""
 
 from array import array
+from unittest import mock
 
 import pytest
 
@@ -123,3 +124,36 @@ def test_new_cycle_is_listed_from_where_brent_closed_it(t31):
         assert elements[0] == x
         # closed and pairwise distinct, or canonicalize raises
         assert gx.canonicalize(t31, elements).period == len(elements)
+
+
+@pytest.mark.parametrize("mapping", [
+    *(gx.mapping_from_name(name) for name in (
+        "collatz", "3x1", *(f"perm:{i}" for i in range(1, 7)),
+        "carnielli-T:3", "carnielli-T:5", "carnielli-L:3", "matthews")),
+    gx.validate(2, [(1, 0), (-3, 1)]),
+], ids=str)
+def test_jump_table_takes_k_steps_and_bounds_each(mapping):
+    engine = Engine(mapping)
+    K, D = engine.K, engine.D
+    assert D == mapping.d ** K <= 1024 < D * mapping.d
+    rows, up, cb = engine.jump_table()
+    assert len(rows) == D and engine.jump_table() is engine.jump_table()
+    for r, (m, t, num, cb_r) in enumerate(rows):
+        for q in (-3, -1, 0, 1, 2**70):
+            x = D * q + r
+            for i in range(1, K + 1):
+                x, _ = mapping.apply(x)
+                assert num * abs(D * q + r) - cb_r <= abs(x) * D <= up * abs(D * q + r) + cb
+            assert m * q + t == x
+
+
+def test_no_jump_table_past_modulus_32():
+    mapping = gx.carnielli_T(40)
+    engine = Engine(mapping)
+    assert engine.K == 1 and engine.jump_table() is None
+    for start in range(-300, 301, 7):
+        plain = engine.walk_brent(start, 1000, 10**9, {})
+        assert engine.walk_brent(start, 1000, 10**9, {}, far=engine.far(50, 10**9)) == plain
+    with mock.patch.object(Engine, "far", lambda self, reach, max_magnitude: max_magnitude):
+        plain = gx.search_range(mapping, -300, 300, max_steps=1000)
+    assert gx.search_range(mapping, -300, 300, max_steps=1000) == plain

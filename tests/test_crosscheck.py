@@ -3,6 +3,7 @@ oracle, the Brent detector, a plain walk and catalog verification must
 agree with each other, including for negative multipliers."""
 
 import itertools
+from array import array
 from fractions import Fraction
 from unittest import mock
 
@@ -151,6 +152,57 @@ def test_detect_cycle_matches_a_plain_walk(mapping, start, max_steps):
             assert (exc.kind, exc.steps) == _expected(event, n), n
         else:
             assert ("cycle", found.elements) == _expected(event, n), n
+
+
+_FAMILIES = [gx.mapping_from_name(name) for name in (
+    "collatz", "3x1", "matthews", "carnielli-T:3", "carnielli-T:5", "carnielli-L:3",
+    *(f"perm:{i}" for i in range(1, 7)))]
+
+
+@given(small_mappings() | st.sampled_from(_FAMILIES),
+       st.integers(-300, 300) | _BOUNDARY_STARTS,
+       st.integers(0, 3000),
+       st.none() | st.integers(0, 300),
+       st.none() | st.tuples(st.integers(-300, 300), st.integers(1, 400), st.integers(-3, 9)),
+       st.booleans(),
+       st.integers(0, 5000))
+# jumps across a cycle far beyond reach: the tortoise must bound them
+@example(gx.permutation_variant(3), 144, 10**5, None, None, False, 1)
+@example(gx.matthews_4branch(), -513, 10**5, None, None, False, 1)
+@example(gx.matthews_4branch(), 6, 10**5, None, None, False, 1)
+# every |m| > d, so a K-step bound from reach lies below reach
+@example(gx.validate(2, [(3, 0), (5, 1)]), 10, 1000, None, (-100, 200, 5), False, 0)
+@example(gx.validate(2, [(3, 0), (5, 1)]), -7, 1000, None, (-100, 200, 5), False, 0)
+@settings(max_examples=150, deadline=None)
+def test_far_walk_matches_the_plain_walk(mapping, start, max_steps, cut, window,
+                                         with_members, reach):
+    """walk_brent with far returns what the step-by-step walk returns, for
+    budgets that are not multiples of K, magnitude cutoffs at any step
+    (inside a jump too), memo windows and member tables."""
+    engine = Engine(mapping)
+    max_magnitude = 2**130
+    if cut is not None:
+        # iterate `cut` is beyond the cutoff
+        x = start
+        for _ in range(cut):
+            x, _ = mapping.apply(x)
+        max_magnitude = max(1, abs(x) - 1)
+    members = {}
+    if with_members:
+        for cid, cyc in enumerate(gx.enumerate_cycles_exact(mapping, 3).cycles):
+            members.update(dict.fromkeys(cyc.elements, cid))
+    memo, base = (), 0
+    if window is not None:
+        base, size, entry = window
+        memo = array("q", [entry]) * size
+        reach = max(reach, -base, base + size - 1)
+    reach = max([reach] + [abs(v) for v in members])
+    far = engine.far(reach, max_magnitude)
+    assert min(reach, max_magnitude) <= far <= max_magnitude
+    plain = engine.walk_brent(start, max_steps, max_magnitude, members, memo, base)
+    for f in (reach, far):
+        assert engine.walk_brent(start, max_steps, max_magnitude, members, memo, base,
+                                 far=f) == plain, f
 
 
 def test_negative_multiplier_mapping_end_to_end():
