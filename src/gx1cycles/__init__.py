@@ -23,8 +23,7 @@ from .nodes import (COLLATZ_CONSTANT, COLLATZ_CONSTANT_FROM_8, COLLATZ_FAMILY,
                     family_for_mapping, generate_nodes, iter_nodes,
                     lambda_exact, lambda_in_open_interval, ln_lambda,
                     node_family, reciprocity_check, rho_max)
-from .search import (LambdaProfile, ProfileRecord, SearchReport,
-                     lambda_profile, search_node, search_range)
+from .search import SearchReport, search_node, search_range
 
 __version__ = "0.1.0"
 

@@ -3,11 +3,12 @@
 A search classifies every start in a range as entering a known cycle,
 exceeding the step budget, or exceeding the magnitude cutoff.  Discovery
 runs Brent detection with early exits on known cycle members and on
-starts the search has already classified (a range memo, or stopping-time
-sieve); starts are taken in order of increasing distance from 0, so most
-walks stop after a few steps.  The final report is a pure function of
-the range, the cutoffs and the discovered catalog, so it is identical
-across runs; search_range's docstring argues why.
+starts the search has already classified (the range memo, an array of
+the outcomes of the starts nearest the pivot); starts are taken in order
+of increasing distance from 0, so most walks stop after a few steps.
+The final report is a pure function of the range, the cutoffs and the
+discovered catalog, so it is identical across runs; search_range's
+docstring argues why.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from ._backend import ENTERED, MAG_CUTOFF, MEMO_HIT, NEW_CYCLE, STEP_CUTOFF, Engine
 from .cycles import CycleCatalog, canonicalize
 from .mappings import DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, MappingDef
-from .nodes import Node, bound_C, lambda_exact
+from .nodes import THREE_X1_FAMILY, Node, bound_C, node_family
 
 _MEMO_CAP = 1 << 17     # memo entries, 8 bytes each: at most 1 MiB per search
 
@@ -334,17 +335,26 @@ def search_node(mapping: MappingDef, node: Node, constant=None,
     """Search the start range allowed by the node's bound C and keep only
     cycles whose branch counts equal the node's (k1, k2).
 
-    The sign of the range defaults to positive; for the 3x+1 family the
+    The family, its default constant and the sign convention all come
+    from the mapping (node_family): a node of any other family, or a
+    mapping without two slopes, raises ValueError before C is computed.
+    The sign of the range defaults to positive; for the 3x+1 mapping the
     displacement term is positive, so PP nodes can only close on positive
-    integers and PG nodes on negative ones.  Pass signed="positive",
+    integers and PG nodes on negative ones.  That holds for its offsets,
+    not for every mapping with its slopes, so another mapping named "3x1"
+    keeps the positive default.  Pass signed="positive",
     "negative" or "both" to override.  A bound C beyond the float range
     raises ValueError: the integer range cannot be taken from it.
     """
+    fam = node_family(mapping)
+    if node.family != fam:
+        raise ValueError(f"node {node.label} is of family {node.family.name!r}, "
+                         f"not of the mapping's family {fam.name!r}")
     if signed is None:
-        signed = "negative" if node.family.name == "3x1" and node.side == "PG" else "positive"
+        signed = "negative" if fam is THREE_X1_FAMILY and node.side == "PG" else "positive"
     if signed not in ("positive", "negative", "both"):
         raise ValueError(f"signed must be positive/negative/both, got {signed!r}")
-    bound = bound_C(node.family, (node.k1, node.k2), constant=constant)
+    bound = bound_C(fam, (node.k1, node.k2), constant=constant)
     if math.isinf(bound.C):
         raise ValueError(f"bound C = exp({bound.ln_C:.7f}) is beyond the float range; "
                          "its integer floor is not computed")
@@ -367,65 +377,3 @@ def search_node(mapping: MappingDef, node: Node, constant=None,
     hits = {c.min_element: full.hits[c.min_element] for c in kept}
     return SearchReport(mapping, lo, hi, max_steps, max_magnitude, catalog,
                         full.tallies, hits, meta={**meta, **full.meta})
-
-
-@dataclass(frozen=True)
-class ProfileRecord:
-    start: int
-    step: int | None            # step of nearest return, None if cut off at once
-    counts: tuple[int, ...] | None
-    lam: float | None
-
-
-@dataclass(frozen=True)
-class LambdaProfile:
-    """Nearest-return statistics over sampled starts (evidence, not proof)."""
-
-    mapping: MappingDef
-    horizon: int
-    records: tuple[ProfileRecord, ...]
-
-    def by_counts(self) -> Counter:
-        return Counter(r.counts for r in self.records if r.counts is not None)
-
-    def histogram(self, bin_width: float = 0.05) -> dict[float, int]:
-        out: Counter = Counter()
-        for r in self.records:
-            if r.lam is not None:
-                out[round(r.lam // bin_width * bin_width, 10)] += 1
-        return dict(sorted(out.items()))
-
-
-def lambda_profile(mapping: MappingDef, sample_starts, horizon: int,
-                   max_magnitude: int = DEFAULT_MAX_MAGNITUDE) -> LambdaProfile:
-    """For each start, the branch counts at its nearest return.
-
-    Walks `horizon` steps and finds the earliest step whose value is
-    closest to the start; the ratio product of the branch counts up to
-    that step is the trajectory's lambda.  Cycle members return exactly
-    (distance 0 at their period).
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    records = []
-    for start in sample_starts:
-        counts = [0] * mapping.d
-        x = start
-        best = None          # (distance, step, counts snapshot)
-        for j in range(1, horizon + 1):
-            x, b = mapping.apply(x)
-            if abs(x) > max_magnitude:
-                break
-            counts[b] += 1
-            dist = abs(x - start)
-            if best is None or dist < best[0]:
-                best = (dist, j, tuple(counts))
-                if dist == 0:
-                    break
-        if best is None:
-            records.append(ProfileRecord(start, None, None, None))
-            continue
-        _, step, snap = best
-        records.append(ProfileRecord(start, step, snap,
-                                     float(lambda_exact(mapping, snap))))
-    return LambdaProfile(mapping, horizon, tuple(records))

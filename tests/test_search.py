@@ -166,6 +166,15 @@ class TestSearchNode:
             gx.search_node(gx.carnielli_T(3), _node(fam, 1, 1),
                            constant=Fraction(1, 100), signed="bogus")
 
+    def test_pg_node_of_another_two_slope_mapping_searches_positive(self):
+        # T(x) = (3x - 1)/2 on odd x shares the 3x+1 slopes and name, but
+        # not the positive displacement: its cycle 5, 7, 10 is a PG node
+        m3 = gx.validate(2, [(1, 0), (3, 1)], name="3x1")
+        fam = gx.family_for_mapping(m3)
+        report = gx.search_node(m3, _node(fam, 2, 1), constant=Fraction(5, 12))
+        assert report.lo == 1
+        assert [c.elements for c in report.catalog.cycles] == [(5, 7, 10)]
+
     def test_sign_override(self, g):
         node = _node(COLLATZ_FAMILY, 3, 2)
         report = gx.search_node(g, node, signed="both")
@@ -173,48 +182,24 @@ class TestSearchNode:
         assert mins == [-9, 4]
 
     def test_variant3_node_guided_94_cycle(self, h):
-        # the node is the Collatz one, so its range comes from 7/24, a
-        # constant not proven for the variant (which has none); its long
-        # cycle still happens to sit inside that range
-        report = gx.search_node(h, _node(COLLATZ_FAMILY, 55, 39))
+        # the variant has no proven constant; with 7/24 given explicitly
+        # its long cycle still happens to sit inside the range
+        node = _node(gx.family_for_mapping(h), 55, 39)
+        report = gx.search_node(h, node, constant=Fraction(7, 24))
         assert any(c.period == 94 and c.min_element == 144
                    for c in report.catalog.cycles)
 
+    @pytest.mark.parametrize("mapping, family, k1, k2", [
+        ("collatz", THREE_X1_FAMILY, 7, 4),      # counts no Collatz node has
+        ("perm:3", COLLATZ_FAMILY, 55, 39),      # 7/24 is refuted on perm:3
+    ], ids=["3x1-node-on-collatz", "collatz-node-on-perm:3"])
+    def test_node_of_another_family_rejected_before_the_bound(self, monkeypatch, mapping,
+                                                              family, k1, k2):
+        monkeypatch.setattr(search, "bound_C", None)     # C is never computed
+        with pytest.raises(ValueError, match="family"):
+            gx.search_node(gx.mapping_from_name(mapping), _node(family, k1, k2))
 
-class TestLambdaProfile:
-    def test_table_trajectory_collatz(self, g):
-        profile = gx.lambda_profile(g, [225, 326], horizon=60)
-        for rec in profile.records:
-            assert rec.step == 53
-            assert rec.lam == pytest.approx(0.997914046257308, abs=1e-12)
+    def test_mapping_without_two_slopes_rejected(self, mat):
+        with pytest.raises(ValueError, match="two distinct branch slopes"):
+            gx.search_node(mat, _node(COLLATZ_FAMILY, 3, 2))
 
-    def test_table_trajectory_3x1_negative(self, t31):
-        profile = gx.lambda_profile(t31, [-42, -57], horizon=15)
-        for rec in profile.records:
-            assert rec.step == 11
-            assert rec.lam == pytest.approx(1.06787109375, abs=1e-12)
-
-    def test_cycle_member_returns_exactly(self, g):
-        rec = gx.lambda_profile(g, [4], horizon=100).records[0]
-        assert rec.step == 5
-        assert rec.lam == pytest.approx(float(Fraction(256, 243)))
-
-    def test_long_return_is_correctly_rounded(self, mat):
-        # start 6 returns at step 1747, where a sum of float logs is off
-        rec = gx.lambda_profile(mat, [6], horizon=2000).records[0]
-        assert rec.step == 1747
-        assert rec.lam == float(gx.lambda_exact(mat, rec.counts))
-
-    def test_degenerate_horizon_one(self, g):
-        profile = gx.lambda_profile(g, [3, 4, 5], horizon=1)
-        assert [r.step for r in profile.records] == [1, 1, 1]
-        assert profile.by_counts()
-
-    def test_horizon_validated(self, g):
-        with pytest.raises(ValueError):
-            gx.lambda_profile(g, [1], horizon=0)
-
-    def test_histogram(self, g):
-        profile = gx.lambda_profile(g, range(10, 60), horizon=53)
-        hist = profile.histogram(0.25)
-        assert sum(hist.values()) == len([r for r in profile.records if r.lam is not None])

@@ -1,10 +1,13 @@
 """The tools under tools/: code_lines.py (the code-line count quoted in CHANGES.md)
-and cli_digests.py (exit codes and stdout digests of CLI calls)."""
+and cli_digests.py (exit codes and stdout digests of CLI calls), and the
+digests of tools/cli_calls.txt pinned in tools/cli_digests.expected."""
 
 import hashlib
 import importlib.util
 import re
 from pathlib import Path
+
+from click.testing import CliRunner
 
 _TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -53,3 +56,16 @@ def test_cli_digests_prints_exit_digest_and_argv(tmp_path, capsys):
     # a repeated call gives the same digest; a usage error prints nothing on stdout
     assert lines[0] == lines[3]
     assert fields[1][1] == hashlib.sha256(b"").hexdigest()
+
+
+def test_cli_outputs_match_the_pinned_digests(monkeypatch):
+    # regenerate the pin with, from the repository root:
+    #   PYTHONPATH=src python3 tools/cli_digests.py tools/cli_calls.txt > tools/cli_digests.expected
+    monkeypatch.chdir(_TOOLS.parent)        # the calls name paths from the root
+    calls = cli_digests.read_calls(_TOOLS / "cli_calls.txt")
+    expected = (_TOOLS / "cli_digests.expected").read_text(encoding="utf-8").splitlines()
+    assert len(expected) == len(calls), "cli_digests.expected is not for cli_calls.txt"
+    runner = CliRunner()
+    changed = [want.split(" ", 2)[2] for argv, want in zip(calls, expected)
+               if cli_digests.digest_line(runner, argv) != want]
+    assert not changed, "output changed for: " + "; ".join(changed)

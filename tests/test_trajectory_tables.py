@@ -1,5 +1,6 @@
 """Published example trajectories: second element, endpoint and branch
-counts (the printed middles are elided, so only those are checked)."""
+counts (the printed middles are elided, so only those are checked), and
+the ratio product of the rows whose lambda is quoted."""
 
 import pytest
 
@@ -50,6 +51,14 @@ THREE_X1_ROWS = [
     ("3x1", -87, 19, -130, -86, (12, 7)),
 ]
 
+# (family, start, steps) -> the ratio product of its branch counts, as a float
+PUBLISHED_LAMBDAS = {
+    ("collatz", 225, 53): 0.9979140462573112,
+    ("collatz", 326, 53): 0.9979140462573112,
+    ("3x1", -42, 11): 1.06787109375,           # 2187/2048
+    ("3x1", -57, 11): 1.06787109375,
+}
+
 
 @pytest.mark.parametrize("family,start,steps,second,end,pair",
                          COLLATZ_ROWS + THREE_X1_ROWS)
@@ -59,3 +68,11 @@ def test_published_trajectory_rows(family, start, steps, second, end, pair):
     assert traj.values[1] == second
     assert traj.values[-1] == end
     assert gx.branch_counts(traj).as_pair() == pair
+
+
+@pytest.mark.parametrize("family,start,steps", PUBLISHED_LAMBDAS)
+def test_published_ratio_products(family, start, steps):
+    mapping = gx.mapping_from_name(family)
+    traj = gx.trajectory(mapping, start, steps)
+    lam = gx.lambda_exact(mapping, gx.branch_counts(traj).counts)
+    assert float(lam) == PUBLISHED_LAMBDAS[family, start, steps]
