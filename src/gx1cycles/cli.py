@@ -121,9 +121,30 @@ def main():
 
 # --- nodes -------------------------------------------------------------------
 
+def _node_floats(n):
+    """The rounded lambda and ln C that every node format prints."""
+    return _round_to(n.value, 15), _round_to(n.ln_c, 7)
+
+
 def _node_rows(nodes):
-    return [{**n.to_row(), "lambda": _round_to(n.value, 15), "ln_C": _round_to(n.ln_c, 7)}
+    return [dict(zip(_NODE_COLUMNS, (n.i, n.j, n.side, n.k1, n.k2, n.k, *_node_floats(n))))
             for n in nodes]
+
+
+def _nodes_json(name, nodes):
+    """The text of json.dumps({"family": name, "rows": _node_rows(nodes)},
+    indent=1), one f-string per row: floats print as their repr there too."""
+    head = f'{{\n "family": {json.dumps(name)},\n "rows": '
+    if not nodes:
+        return head + "[]\n}"
+    rows = []
+    for n in nodes:
+        lam, ln_c = _node_floats(n)
+        ln_c = "null" if ln_c is None else repr(ln_c)
+        rows.append(f'  {{\n   "i": {n.i},\n   "j": {n.j},\n   "side": "{n.side}",\n'
+                    f'   "k1": {n.k1},\n   "k2": {n.k2},\n   "k": {n.k},\n'
+                    f'   "lambda": {lam!r},\n   "ln_C": {ln_c}\n  }}')
+    return head + "[\n" + ",\n".join(rows) + "\n ]\n}"
 
 
 _NODE_COLUMNS = ("i", "j", "side", "k1", "k2", "k", "lambda", "ln_C")
@@ -193,13 +214,12 @@ def nodes(ctx, family, depth, max_k, max_nodes, constant, fmt, output, check_pap
         depth = 7
     nodes_list = generate_nodes(fam, max_main_nodes=depth, max_k=max_k,
                                 max_nodes=max_nodes, constant=constant)
-    rows = _node_rows(nodes_list)
     if fmt == "json":
-        _emit(json.dumps({"family": fam.name, "rows": rows}, indent=1), output)
+        _emit(_nodes_json(fam.name, nodes_list), output)
     elif fmt == "csv":
-        _emit(_rows_to_csv(_NODE_COLUMNS, rows), output)
+        _emit(_rows_to_csv(_NODE_COLUMNS, _node_rows(nodes_list)), output)
     else:
-        _emit(_nodes_pretty(rows), output)
+        _emit(_nodes_pretty(_node_rows(nodes_list)), output)
 
 
 # --- search ------------------------------------------------------------------

@@ -13,11 +13,14 @@ the walk stays exact even when k grows far beyond anything a hardware
 float could separate.  It tests a product for being exactly 1 only when
 it cannot settle the product at the current bits: a product equal to 1
 never settles, so a degenerate family is still caught at its first such
-product.  The other comparisons against 1 (`sign`,
-`lambda_in_open_interval`) and the bound C use adaptive-precision
-logarithms with a certified error bound.  mpmath is imported inside the
-functions that take a logarithm, so a process that only walks, searches
-or enumerates cycles never loads it.
+product.  Each node's ln C is an integer fixed-point logarithm with a
+counted error bound, raised in precision until its float is certain (a
+Ziv loop), so it is correctly rounded.  The other comparisons against 1
+(`sign`, `lambda_in_open_interval`) and the bound C use mpmath
+logarithms with a certified error bound; the walk takes its scaled logs
+and the exp of its ratio products from mpmath too.  mpmath is imported
+inside the functions that use it, so a process that only walks,
+searches or enumerates cycles never loads it.
 """
 
 from __future__ import annotations
@@ -35,9 +38,17 @@ from .mappings import BranchCounts, MappingDef, collatz, mapping_from_name, thre
 # themselves whenever a decision or a tolerance needs more bits.
 DEFAULT_PRECISION_BITS = 256
 
-# Precision of the node walk's exp and ln for its float outputs: far finer
+# Precision of the node walk's exp for its ratio products; the quotient
+# whose log gives ln C has at least _OUT_PREC + 8 bits.  Both are far finer
 # than the certified error of ln lambda (2^-96 absolute, 2^-64 relative).
 _OUT_PREC = 128
+
+# Fractional bits at which `_ln_float` first evaluates a logarithm, and
+# its reduction tables of ln(1 + j/2^_LN_TABLE_BITS), j = 0..2^_LN_TABLE_BITS,
+# by precision: each is built on first use, once per process.
+_LN_PREC = 104
+_LN_TABLE_BITS = 8
+_LN_TABLES: dict[int, tuple[list[int], int]] = {}
 
 # Bound numerators established for the two canonical families; the
 # tighter Collatz constant is only valid from least term 8 up.
@@ -381,10 +392,97 @@ class Node:
             raise ValueError(f"k = {self.k} too deep for an explicit fraction")
         return lambda_exact(self.family, (self.k1, self.k2))
 
-    def to_row(self) -> dict:
-        return {"i": self.i, "j": self.j, "side": self.side,
-                "k1": self.k1, "k2": self.k2, "k": self.k,
-                "lambda": self.value, "ln_C": self.ln_c}
+
+def _ln_table(prec: int) -> tuple[list[int], int]:
+    """(entries, bound): entry j is below 2^prec * ln(1 + j/2^t) by at
+    most bound units, for t = _LN_TABLE_BITS and j = 0..2^t, so the last
+    entry is ln 2.
+
+    Built once per precision, at w = prec + 16 bits, as a running sum of
+    ln((n + 1)/(n - 1)) = 2 atanh(1/n) for n = 2^(t+1) + 2j + 1.  The
+    terms floor(2^w / n^i), i odd, are exact floors of one another, so
+    the K nonzero ones, each divided by i with a floor, and the tail
+    below the last lose less than 2K + 1 units: 4K + 2 after doubling.
+    """
+    cached = _LN_TABLES.get(prec)
+    if cached is not None:
+        return cached
+    guard = 16
+    one, size = 1 << (prec + guard), 1 << _LN_TABLE_BITS
+    total = lost = 0
+    entries = [0]
+    for n in range(2 * size + 1, 4 * size, 2):
+        n2, p, i, step = n * n, one // n, 1, 0
+        while p:
+            step += p // i
+            p //= n2
+            i += 2
+        total += 2 * step
+        lost += 2 * i              # 4K + 2, with i = 2K + 1
+        entries.append(total >> guard)
+    cached = _LN_TABLES[prec] = (entries, (lost >> guard) + 2)
+    return cached
+
+
+def _fixed_ln(q: int, s: int, prec: int) -> tuple[int, int]:
+    """(L, E) with |L - 2^prec * ln(q * 2^-s)| <= E, for an integer q >= 1.
+
+    Let h be q with all but its top t + 1 bits cleared, t = _LN_TABLE_BITS.
+    Then q * 2^-s = 2^e * (1 + j/2^t) * (1 + y)/(1 - y) for the table
+    index j of h and y = (q - h)/(q + h) < 2^-(t+1), so ln(q * 2^-s) =
+    e ln 2 + ln(1 + j/2^t) + 2 atanh(y).  atanh(y) is summed as y^i/i in
+    fixed point: Y = floor(2^prec * y), Z = floor(Y^2 / 2^prec) and each
+    power floor(p * Z / 2^prec) is below 2^prec * y^i by less than 2
+    units.  E counts 4K for the K terms summed (the last one 0) and
+    |e| + 1 table bounds.
+    """
+    entries, bound = _ln_table(prec)
+    t = _LN_TABLE_BITS
+    n = q.bit_length()
+    if n <= t:
+        q, s, n = q << (t + 1 - n), s + t + 1 - n, t + 1
+    shift = n - 1 - t
+    top = q >> shift
+    h = top << shift
+    y = ((q - h) << prec) // (q + h)
+    z = y * y >> prec
+    total, p, i = y, y, 1
+    while p:
+        p = p * z >> prec
+        i += 2
+        total += p // i
+    e = n - 1 - s
+    return (e * entries[-1] + entries[top - (1 << t)] + 2 * total,
+            2 * (i + 1) + (abs(e) + 1) * bound)     # 4K = 2(i + 1)
+
+
+def _ln_float(constant: Fraction, q: int, s: int, prec: int = _LN_PREC) -> float:
+    """ln(constant * q * 2^-s), correctly rounded, for an integer q >= 1.
+
+    The one rational case, constant * q = 2^s, is exactly 0.0.  Otherwise
+    the log is transcendental, so at enough bits L - E and L + E, the
+    ends of the interval that holds 2^prec times it, lie within one
+    rounding interval: their correctly rounded quotients by 2^prec (int
+    true division) agree, and by monotone rounding so does the log's.
+    Until they do, prec doubles (Ziv, ACM TOMS 17, 1991).  The log is
+    taken of floor(num * q * 2^shift / den), which has prec + 64 or 65
+    bits, so it is less than 2^-63 units low: E counts one more.
+    """
+    num, den = constant.numerator, constant.denominator
+    x = num * q
+    if x == den << s:
+        return 0.0
+    while True:
+        shift = prec + 64 + den.bit_length() - x.bit_length()
+        scaled = (x << shift if shift >= 0 else x >> -shift) // den
+        ln_x, err = _fixed_ln(scaled, s + shift, prec)
+        err += 1
+        low = (ln_x - err) / (1 << prec)
+        if low == (ln_x + err) / (1 << prec):
+            return low
+        if prec >= _LogEvaluator.MAX_PREC:
+            raise ArithmeticError("ln C did not resolve")
+        prec *= 2
 
 
 def _scaled_logs(fam: NodeFamily, bits: int) -> tuple[int, int]:
@@ -421,25 +519,23 @@ def iter_nodes(family, constant=None) -> Iterator[Node]:
     |r| <= k1 + k2 < err at every precision, so it never settles and
     meets the test on its first pass.
 
-    The float outputs are then rounded from _OUT_PREC-bit values.  ln C =
-    ln constant + ln(k1 * 2^bits / |r|) takes one logarithm, of the
-    quotient q * 2^-s, where q = (k1 << (bits + s)) // |r| has at least
+    ln C = ln(constant * k1 * 2^bits / |r|) is the correctly rounded float
+    of ln(constant * q * 2^-s) from `_ln_float`, an integer fixed-point
+    log in a Ziv loop, where q = (k1 << (bits + s)) // |r| has at least
     _OUT_PREC + 8 bits; C itself is never formed.  The ratio product is
-    exp(r * 2^-bits), except when |r| + err < 2^(bits-56): then |ln lambda|
-    < 2^-56, so lambda lies strictly between the rounding midpoints
-    1 - 2^-54 and 1 + 2^-53 and its correctly rounded float is 1.0.
+    exp(r * 2^-bits), rounded from an _OUT_PREC-bit mpmath value, except
+    when |r| + err < 2^(bits-56): then |ln lambda| < 2^-56, so lambda
+    lies strictly between the rounding midpoints 1 - 2^-54 and 1 + 2^-53
+    and its correctly rounded float is 1.0.  So mpmath is left for
+    `_scaled_logs` and that exp; `_LogEvaluator` is never called.
     """
-    import mpmath as mp
     # measure works on raw mpmath.libmp values: the mpf wrappers would cost
     # more than the arithmetic
-    from mpmath.libmp import from_man_exp, mpf_add, mpf_exp, mpf_log, round_nearest, to_float
+    from mpmath.libmp import from_man_exp, mpf_exp, round_nearest, to_float
 
     prec, rnd = _OUT_PREC, round_nearest
     fam = node_family(family)
     constant = fam.constant if constant is None else _positive(constant)
-    if constant is not None:
-        with mp.workprec(prec):
-            ln_constant = (mp.ln(constant.numerator) - mp.ln(constant.denominator))._mpf_
     bits = DEFAULT_PRECISION_BITS
     a, b = _scaled_logs(fam, bits)
 
@@ -465,9 +561,7 @@ def iter_nodes(family, constant=None) -> Iterator[Node]:
         ln_c = None
         if k1 and constant is not None:
             s = max(0, prec + 8 + abs_r.bit_length() - k1.bit_length() - bits)
-            q = (k1 << (bits + s)) // abs_r
-            ln_q = mpf_log(from_man_exp(q, -s, prec, rnd), prec, rnd)
-            ln_c = to_float(mpf_add(ln_constant, ln_q, prec, rnd), rnd=rnd)
+            ln_c = _ln_float(constant, (k1 << (bits + s)) // abs_r, s)
         return ("PP" if r < 0 else "PG"), lam, ln_c
 
     pp, pg = (0, 1), (1, 0)

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import gx1cycles as gx
-from gx1cycles.cli import main
+from gx1cycles.cli import _node_rows, main
 from gx1cycles.reference import catalog_path
 
 
@@ -94,6 +94,34 @@ class TestNodes:
                      "--format", "json")
         assert res.exit_code == 0
         assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("family, options", [
+        ("collatz", ["--max-nodes", "3000"]),
+        ("3x1", ["--max-nodes", "3000"]),
+        ("collatz", ["--max-nodes", "0"]),
+        ("collatz", ["--max-nodes", "2"]),
+        ("perm:4", ["--depth", "6"]),
+        ("carnielli-T:5", ["--max-nodes", "300", "--constant", "1/2"]),
+        ("custom", ["--depth", "6", "--constant", "5/12"]),
+    ], ids=["collatz", "3x1", "empty", "seeds", "perm:4", "carnielli-T:5", "custom"])
+    def test_json_writer_matches_json_dumps(self, runner, tmp_path, family, options):
+        if family == "custom":
+            # a name that json.dumps must escape: quote, backslash, non-ASCII
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps({"name": 'x/2 or "(3x\\1)/2", naïve',
+                                        "d": 2, "branches": [{"m": 1, "r": 0},
+                                                             {"m": 3, "r": 1}]}))
+            family = f"custom:{path}"
+        res = invoke(runner, "nodes", "--family", family, *options, "--format", "json")
+        assert res.exit_code == 0, res.output
+        args = dict(zip(options[::2], options[1::2]))
+        fam = gx.node_family(family)
+        nodes = gx.generate_nodes(
+            fam, max_nodes=int(args.get("--max-nodes", 10 ** 9)),
+            max_main_nodes=int(args["--depth"]) if "--depth" in args else None,
+            constant=Fraction(args["--constant"]) if "--constant" in args else None)
+        expected = json.dumps({"family": fam.name, "rows": _node_rows(nodes)}, indent=1)
+        assert res.output == expected + "\n"
 
     def test_precision_option_removed(self, runner):
         # precision is chosen by the log evaluator, not by the user

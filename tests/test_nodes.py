@@ -540,3 +540,84 @@ def test_walk_matches_a_fraction_reference(params):
         return
     nodes = gx.generate_nodes(fam, max_nodes=40, max_k=20_000)
     assert [(n.k1, n.k2, n.side) for n in nodes] == expected
+
+
+@st.composite
+def _scaled_arguments(draw):
+    bits = draw(st.integers(1, 1500))
+    q = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    return q, draw(st.integers(0, 300)), draw(st.sampled_from([16, nodes_module._LN_PREC, 256]))
+
+
+@given(_scaled_arguments())
+@example((1, 0, nodes_module._LN_PREC))
+@example((1, 300, nodes_module._LN_PREC))
+@example(((1 << 1500) - 1, 0, nodes_module._LN_PREC))
+@example((3 << 200, 200, 16))
+@settings(max_examples=300, deadline=None)
+def test_fixed_ln_error_is_within_its_bound(args):
+    q, s, prec = args
+    ln_q, err = nodes_module._fixed_ln(q, s, prec)
+    with mp.workprec(prec + q.bit_length() + 64):
+        exact = mp.ldexp(mp.ln(q) - s * mp.ln(2), prec)
+        assert abs(mp.mpf(ln_q) - exact) <= err, (q, s, prec)
+
+
+class TestLnFloat:
+    @staticmethod
+    def _mpmath_ln_c(constant, q, s):
+        # the 128-bit mpmath formula ln C was computed with before the
+        # fixed-point log
+        from mpmath.libmp import from_man_exp, mpf_add, mpf_log, round_nearest, to_float
+
+        prec, rnd = 128, round_nearest
+        with mp.workprec(prec):
+            ln_constant = (mp.ln(constant.numerator) - mp.ln(constant.denominator))._mpf_
+        ln_q = mpf_log(from_man_exp(q, -s, prec, rnd), prec, rnd)
+        return to_float(mpf_add(ln_constant, ln_q, prec, rnd), rnd=rnd)
+
+    @pytest.mark.parametrize("family, constant", [
+        (COLLATZ_FAMILY, None), (THREE_X1_FAMILY, None),
+        ("carnielli-T:3", Fraction(1, 2)), ("carnielli-T:5", Fraction(1, 2)),
+    ], ids=["collatz", "3x1", "carnielli-T:3", "carnielli-T:5"])
+    def test_walk_matches_the_mpmath_formula(self, monkeypatch, family, constant):
+        ln_float = nodes_module._ln_float
+        calls = []
+
+        def recorded(c, q, s):
+            calls.append((c, q, s))
+            return ln_float(c, q, s)
+
+        monkeypatch.setattr(nodes_module, "_ln_float", recorded)
+        nodes = [n for n in gx.generate_nodes(family, max_nodes=10_000, constant=constant)
+                 if n.k1]
+        assert len(calls) == len(nodes) == 9_999
+        for n, (c, q, s) in zip(nodes, calls):
+            assert n.ln_c == self._mpmath_ln_c(c, q, s), (n.k1, n.k2)
+
+    def test_low_start_precision_doubles_to_the_same_float(self, monkeypatch):
+        fixed_ln = nodes_module._fixed_ln
+        precs = []
+
+        def recorded(q, s, prec):
+            precs.append(prec)
+            return fixed_ln(q, s, prec)
+
+        q, s, constant = 3 ** 200, 300, COLLATZ_CONSTANT
+        expected = nodes_module._ln_float(constant, q, s)
+        monkeypatch.setattr(nodes_module, "_fixed_ln", recorded)
+        assert nodes_module._ln_float(constant, q, s, prec=8) == expected
+        assert precs[0] == 8 and max(precs) >= 16
+        assert expected == self._mpmath_ln_c(constant, q, s)
+
+    @pytest.mark.parametrize("constant, q, s", [
+        (Fraction(1, 2), 2, 0), (Fraction(1, 3), 3 << 40, 40), (Fraction(4), 1, 2),
+    ])
+    def test_constant_times_q_a_power_of_two_is_exactly_zero(self, monkeypatch,
+                                                               constant, q, s):
+        def forbidden(*args):
+            raise AssertionError("took a log of an exact 1")
+
+        monkeypatch.setattr(nodes_module, "_fixed_ln", forbidden)
+        ln_c = nodes_module._ln_float(constant, q, s)
+        assert ln_c == 0.0 and math.copysign(1.0, ln_c) == 1.0
