@@ -284,7 +284,7 @@ def search(family, path, lo, hi, max_steps, max_magnitude, threads, fmt, output)
 @click.option("--k2", type=int, required=True)
 @click.option("--constant", default=None)
 @click.option("--signed", type=click.Choice(["positive", "negative", "both"]),
-              default=None, help="range sign (default: family convention)")
+              default=None, help="range sign (default: from the branch offsets)")
 @click.option("--max-steps", type=click.IntRange(min=0), default=DEFAULT_MAX_STEPS)
 @click.option("--max-magnitude", callback=_parse_bigint, default=str(DEFAULT_MAX_MAGNITUDE))
 @_format("pretty", "json", "csv")

@@ -228,10 +228,17 @@ def enumerate_cycles_exact(mapping: MappingDef, max_period: int,
       w = u^(p/q), but a Lyndon word is primitive.
 
     (canonicalize checks both again before a cycle enters the catalog.)
-    meta["sequences"] is
-    the number of sequences visited, the sum over p of
-    (max_period - p + 1) * L_d(p) with L_d(p) Lyndon words of length p;
-    BudgetExceededError is raised when it exceeds the budget.
+
+    The last level of the walk costs no call per leaf.  A prenecklace of
+    length max_period - 1 and period q solves its children in its own
+    loop: the child with letter low = w[max_period - q] keeps period q, so
+    it is no Lyndon word; only the letters above low start a new period
+    and make one (at the root every single letter does), and only those
+    are composed and solved.
+
+    meta["sequences"] is the number of prenecklaces the walk covers, the
+    sum over p of (max_period - p + 1) * L_d(p) with L_d(p) Lyndon words
+    of length p; BudgetExceededError is raised when it exceeds the budget.
     """
     if max_period < 0:
         raise ValueError("max_period must be >= 0")
@@ -250,36 +257,53 @@ def enumerate_cycles_exact(mapping: MappingDef, max_period: int,
                 f"enumeration to period {max_period} visits more than "
                 f"{budget} branch sequences (the budget)")
 
-    ms = [m for m, _ in mapping.branches]
-    rs = [r for _, r in mapping.branches]
+    # tails[low]: the (b, m_b, r_b) of the letters b >= low
+    tails = [[(b, *mapping.branches[b]) for b in range(low, d)] for low in range(d + 1)]
+    last = max_period - 1
     word = [0] * (max_period + 1)   # word[1..depth]; word[0] is a sentinel
     found: list[Cycle] = []
     unit_slope = 0
 
+    def solve(x: int, p: int):
+        """Keep the cycle of the fixed point x if its orbit takes word[1..p]."""
+        elems = []
+        for i in range(1, p + 1):
+            elems.append(x)
+            x, b = mapping.apply(x)
+            if b != word[i]:
+                return
+        found.append(canonicalize(mapping, elems))
+
     def visit(A: int, B: int, depth: int, period: int, dpow: int):
         nonlocal unit_slope
-        if depth > 0 and period == depth:
+        if period == depth:
             den = dpow - A
             if den == 0:
                 unit_slope += 1
             elif B % den == 0:
-                x = B // den
-                elems = []
-                for i in range(1, depth + 1):
-                    elems.append(x)
-                    x, b = mapping.apply(x)
-                    if b != word[i]:
-                        break
+                solve(B // den, depth)
+        low = word[depth + 1 - period]
+        dnext = dpow * d
+        if depth == last:
+            # the children are leaves, solved in this loop: only the letters
+            # above low make Lyndon words there (every letter at the root)
+            for b, m, r in tails[low + 1 if depth else 0]:
+                den = dnext - m * A
+                if den == 0:
+                    unit_slope += 1
                 else:
-                    found.append(canonicalize(mapping, elems))
-        if depth < max_period:
-            low = word[depth + 1 - period]
-            for b in range(low, d):
-                word[depth + 1] = b
-                visit(ms[b] * A, ms[b] * B - rs[b] * dpow, depth + 1,
-                      period if b == low else depth + 1, dpow * d)
+                    Bb = m * B - r * dpow
+                    if Bb % den == 0:
+                        word[depth + 1] = b
+                        solve(Bb // den, depth + 1)
+            return
+        for b, m, r in tails[low]:
+            word[depth + 1] = b
+            visit(m * A, m * B - r * dpow, depth + 1,
+                  period if b == low else depth + 1, dnext)
 
-    visit(1, 0, 0, 1, 1)
+    if max_period:
+        visit(1, 0, 0, 1, 1)
     return CycleCatalog(
         mapping, tuple(found),
         provenance=f"exact enumeration of all branch sequences with period <= {max_period}",

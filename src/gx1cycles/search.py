@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from ._backend import ENTERED, MAG_CUTOFF, MEMO_HIT, NEW_CYCLE, STEP_CUTOFF, Engine
 from .cycles import CycleCatalog, canonicalize
 from .mappings import DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, MappingDef
-from .nodes import THREE_X1_FAMILY, Node, bound_C, node_family
+from .nodes import Node, bound_C, node_family
 
 _MEMO_CAP = 1 << 17     # memo entries, 8 bytes each: at most 1 MiB per search
 
@@ -338,20 +338,29 @@ def search_node(mapping: MappingDef, node: Node, constant=None,
     The family, its default constant and the sign convention all come
     from the mapping (node_family): a node of any other family, or a
     mapping without two slopes, raises ValueError before C is computed.
-    The sign of the range defaults to positive; for the 3x+1 mapping the
-    displacement term is positive, so PP nodes can only close on positive
-    integers and PG nodes on negative ones.  That holds for its offsets,
-    not for every mapping with its slopes, so another mapping named "3x1"
-    keeps the positive default.  Pass signed="positive",
-    "negative" or "both" to override.  A bound C beyond the float range
-    raises ValueError: the integer range cannot be taken from it.
+    The sign of the range defaults from the branch offsets.  A cycle with
+    word w starts at B/(d^p - A), where, with positive multipliers,
+    B = sum of -r_(w_i) * d^(i-1) * (product of m_(w_j) over j > i).  If
+    every offset is <= 0 (3x+1, carnielli-T:d), B >= 0, so PP nodes
+    (A < d^p) close on positive integers and PG nodes on negative ones;
+    if every offset is >= 0 (3x-1), the reverse.  Mixed offsets (Collatz,
+    the permutation variants) keep the positive default.  Pass
+    signed="positive", "negative" or "both" to override.  A bound C
+    beyond the float range raises ValueError: the integer range cannot
+    be taken from it.
     """
     fam = node_family(mapping)
     if node.family != fam:
         raise ValueError(f"node {node.label} is of family {node.family.name!r}, "
                          f"not of the mapping's family {fam.name!r}")
     if signed is None:
-        signed = "negative" if fam is THREE_X1_FAMILY and node.side == "PG" else "positive"
+        offsets = [r for _, r in mapping.branches]
+        if all(r <= 0 for r in offsets):
+            signed = "negative" if node.side == "PG" else "positive"
+        elif all(r >= 0 for r in offsets):
+            signed = "positive" if node.side == "PG" else "negative"
+        else:
+            signed = "positive"
     if signed not in ("positive", "negative", "both"):
         raise ValueError(f"signed must be positive/negative/both, got {signed!r}")
     bound = bound_C(fam, (node.k1, node.k2), constant=constant)

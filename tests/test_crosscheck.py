@@ -42,12 +42,18 @@ def _reference_cycles(mapping, max_period):
     """Solve every branch word of length <= max_period.
 
     Returns the cycles whose fixed point's orbit takes the word's branches,
-    and those whose fixed point merely closes after len(word) steps.
+    those whose fixed point merely closes after len(word) steps, and the
+    number of Lyndon words (each smaller than all its proper rotations)
+    with slope exactly 1.
     """
     taking, closing = set(), set()
+    unit_lyndon = 0
     for p in range(1, max_period + 1):
         for word in itertools.product(range(mapping.d), repeat=p):
-            x0 = gx.compose_affine(mapping, word).fixed_point()
+            affine = gx.compose_affine(mapping, word)
+            if affine.slope == 1 and all(word < word[i:] + word[:i] for i in range(1, p)):
+                unit_lyndon += 1
+            x0 = affine.fixed_point()
             if x0 is None or x0.denominator != 1:
                 continue
             x, elems, branches = int(x0), [], []
@@ -60,7 +66,7 @@ def _reference_cycles(mapping, max_period):
                 closing.add(cyc)
                 if tuple(branches) == word:
                     taking.add(cyc)
-    return taking, closing
+    return taking, closing, unit_lyndon
 
 
 @given(small_mappings(), st.integers(1, 5))
@@ -70,6 +76,13 @@ def _reference_cycles(mapping, max_period):
 @example(gx.validate(4, [(-2, 0), (6, 10), (-6, 4), (-3, -5)]), 4)
 # word (0) has slope -1, so (-4, 4), of word (0, 0), is a unit-slope cycle
 @example(gx.validate(4, [(-4, 0), (-2, -6), (-4, 4), (3, 1)]), 4)
+# slopes -1 and 1: at period 1 the root letters give the cycle 0 of word (0)
+# and the unit slope of (1); at periods 2 and 3 the level under the root
+# holds Lyndon (0, 1) and (0, 0, 1) but also non-Lyndon words of slope 1:
+# (0, 0), (1, 1), (0, 1, 0) and (1, 1, 1)
+@example(gx.validate(2, [(-2, 0), (2, 0)]), 1)
+@example(gx.validate(2, [(-2, 0), (2, 0)]), 2)
+@example(gx.validate(2, [(-2, 0), (2, 0)]), 3)
 @settings(max_examples=60, deadline=None)
 def test_oracle_matches_brute_force_reference(mapping, max_period):
     calls = 0
@@ -83,8 +96,9 @@ def test_oracle_matches_brute_force_reference(mapping, max_period):
     with mock.patch.object(cycles, "canonicalize", counted):
         cat = gx.enumerate_cycles_exact(mapping, max_period)
     assert calls == len(cat)
-    taking, closing = _reference_cycles(mapping, max_period)
+    taking, closing, unit_lyndon = _reference_cycles(mapping, max_period)
     assert set(cat.cycles) == taking
+    assert cat.meta["unit_slope_skipped"] == unit_lyndon
     # a fixed point closing on a cycle of another word adds only cycles
     # whose own word has slope 1, which the oracle skips
     for cyc in closing - taking:

@@ -175,6 +175,26 @@ class TestSearchNode:
         assert report.lo == 1
         assert [c.elements for c in report.catalog.cycles] == [(5, 7, 10)]
 
+    def test_pg_node_of_a_mapping_with_offsets_at_most_zero_searches_negative(self):
+        # carnielli-T:3 has offsets 0, -2, -1 like 3x+1: its PG node (4, 1)
+        # closes on the negative cycle -66, -22, -29, -38, -50
+        t3 = gx.carnielli_T(3)
+        fam = gx.family_for_mapping(t3)
+        node = _node(fam, 4, 1)
+        assert node.side == "PG"
+        report = gx.search_node(t3, node, constant=Fraction(1))
+        assert report.lo < 0 and report.hi == -1
+        assert [c.elements for c in report.catalog.cycles] == [(-66, -22, -29, -38, -50)]
+
+    def test_pp_node_of_a_mapping_with_offsets_at_least_zero_searches_negative(self):
+        # for T(x) = (3x - 1)/2 on odd x the PP node (1, 1) closes on -2, -1
+        m3 = gx.validate(2, [(1, 0), (3, 1)], name="3x-1")
+        node = _node(gx.family_for_mapping(m3), 1, 1)
+        assert node.side == "PP"
+        report = gx.search_node(m3, node, constant=Fraction(5, 12))
+        assert report.lo < 0 and report.hi == -1
+        assert [c.elements for c in report.catalog.cycles] == [(-2, -1)]
+
     def test_sign_override(self, g):
         node = _node(COLLATZ_FAMILY, 3, 2)
         report = gx.search_node(g, node, signed="both")
