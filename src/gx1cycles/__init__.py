@@ -5,16 +5,14 @@ node walk locating ratio products near 1, least-term bounds, and bounded
 exhaustive searches.  Everything runs in pure Python on exact integers.
 """
 
-from .affine import AffineMap, branch_affine, compose_affine
+from .affine import AffineMap, compose_affine
 from .cycles import (BudgetExceededError, CatalogVerification, Cycle,
-                     CycleCatalog, CutoffExceededError, NotAClosedCycleError,
-                     canonicalize, cycle_affine, detect_cycle,
-                     enumerate_cycles_exact, verify_catalog)
+                     CycleCatalog, NotAClosedCycleError, canonicalize,
+                     detect_cycle, enumerate_cycles_exact, verify_catalog)
 from .mappings import (DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, BranchCounts,
-                       InvalidMappingError, MagnitudeCutoff, MappingDef,
-                       Trajectory, branch_counts, carnielli_L,
-                       carnielli_T, collatz, mapping_from_file,
-                       mapping_from_name, matthews_4branch,
+                       CutoffExceededError, InvalidMappingError, MappingDef,
+                       Trajectory, carnielli_L, carnielli_T, collatz,
+                       mapping_from_file, mapping_from_name, matthews_4branch,
                        permutation_variant, three_x_plus_one, trajectory,
                        validate)
 from .nodes import (COLLATZ_CONSTANT, COLLATZ_CONSTANT_FROM_8, COLLATZ_FAMILY,

@@ -22,15 +22,8 @@ class AffineMap:
     slope: Fraction
     offset: Fraction
 
-    IDENTITY: "AffineMap" = None  # type: ignore[assignment]
-
     def __call__(self, x) -> Fraction:
         return self.slope * x + self.offset
-
-    def then(self, other: "AffineMap") -> "AffineMap":
-        """The composition applying self first, then other."""
-        return AffineMap(other.slope * self.slope,
-                         other.slope * self.offset + other.offset)
 
     def fixed_point(self) -> Fraction | None:
         """Solution of slope*x + offset = x, or None when slope == 1."""
@@ -39,16 +32,9 @@ class AffineMap:
         return self.offset / (1 - self.slope)
 
 
-AffineMap.IDENTITY = AffineMap(Fraction(1), Fraction(0))
-
-
-def branch_affine(mapping: MappingDef, branch: int) -> AffineMap:
-    m, r = mapping.branches[branch]
-    return AffineMap(Fraction(m, mapping.d), Fraction(-r, mapping.d))
-
-
 def compose_affine(mapping: MappingDef, branch_sequence: Sequence[int]) -> AffineMap:
-    """Exact (slope, offset) of following the given branch indices in order."""
+    """Exact (slope, offset) of following the given branch indices in order;
+    the identity map for an empty sequence."""
     d = mapping.d
     acc_m = 1          # running slope numerator, denominator d**j
     acc_b = 0          # running offset numerator, denominator d**j

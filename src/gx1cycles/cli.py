@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Subcommands: nodes, search, search-node, verify, trajectory, oracle,
-lambda, bound.  Exit codes: 0 ok, 1 verification failure, 2 usage error.
+lambda, bound.  Exit codes: 0 ok; 1 when verify or nodes --check-paper
+finds a failure, oracle goes over --budget, trajectory passes
+--max-magnitude or --output cannot be written; 2 usage error.
 The precision of the log computations is chosen and raised automatically.
 """
 
@@ -18,12 +20,12 @@ import click
 from . import __version__
 from .cycles import (BudgetExceededError, enumerate_cycles_exact,
                      load_raw_catalog, verify_catalog)
-from .mappings import (DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, MappingDef,
-                       MagnitudeCutoff, mapping_from_file, mapping_from_name,
-                       trajectory)
+from .mappings import (DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS,
+                       CutoffExceededError, MappingDef, mapping_from_file,
+                       mapping_from_name, trajectory)
 from .nodes import (COLLATZ_CONSTANT, COLLATZ_CONSTANT_FROM_8,
-                    THREE_X1_CONSTANT, bound_C, generate_nodes, lambda_exact,
-                    ln_lambda, node_family)
+                    THREE_X1_CONSTANT, _exponents, _nearest_float, _terms, _uses,
+                    bound_C, generate_nodes, ln_lambda, node_family)
 from .reference import (check_nodes_against_reference, load_reference_table,
                         reference_depth)
 from .search import search_node, search_range
@@ -346,7 +348,7 @@ def trajectory_cmd(family, path, start, steps, max_magnitude, fmt, output):
     mapping = _resolve_mapping(family, path)
     try:
         traj = trajectory(mapping, start, steps, max_magnitude=max_magnitude)
-    except MagnitudeCutoff as exc:
+    except CutoffExceededError as exc:
         raise click.ClickException(str(exc))
     if fmt == "json":
         _emit(json.dumps({"mapping": mapping.to_json(),
@@ -432,16 +434,51 @@ _COUNTS_HELP = ("one count per branch, branch 0 first, or k1,k2 (growth, "
                 "(3x+1)/2 (k1)")
 
 
-def _fraction_text(mapping, vec, lam):
-    try:
-        return f"{lam.numerator}/{lam.denominator}"
-    except ValueError:    # more digits than int-to-str conversion allows
-        uses = {}
-        for c, (m, _) in zip(vec, mapping.branches):
-            if c:
-                uses[m] = uses.get(m, 0) + c
-        num = "*".join(f"{m}^{c}" if m > 0 else f"({m})^{c}" for m, c in sorted(uses.items()))
-        return f"{num}/{mapping.d}^{sum(vec)}"
+# lambda prints as p/q while p and q have at most 4,300 digits, the default
+# of Python's int-to-str limit; decimal prints them whatever that limit is
+_LIMIT = 10 ** 4300
+
+
+def _below_limit(powers):
+    """prod q^e over the (q, e) pairs if it is below _LIMIT, else None.
+
+    The product is at least 2^s, s the sum of e*(bit length of q - 1); it
+    is built only when s is below the bit length of _LIMIT, so it has
+    fewer than twice as many bits as _LIMIT.
+    """
+    if sum(e * (q.bit_length() - 1) for q, e in powers) >= _LIMIT.bit_length():
+        return None
+    n = math.prod(q ** e for q, e in powers)
+    return n if n < _LIMIT else None
+
+
+def _lambda_text(mapping, vec):
+    """The text of lambda and its nearest float (inf past the float range).
+
+    The text is p/q, decided from exponents over a coprime base, or, when
+    p or q is not below _LIMIT, the unreduced product of powers m^c/d^k;
+    then the float comes from certified logs, so lambda itself is never
+    built.
+    """
+    from decimal import Decimal
+
+    terms, negative = _terms(mapping.d, _uses(mapping, vec))
+    powers = list(_exponents(terms))
+    p = _below_limit([(b, e) for b, e in powers if e > 0])
+    q = _below_limit([(b, -e) for b, e in powers if e < 0])
+    sign = -1 if negative else 1
+    if p is not None and q is not None:
+        try:
+            value = sign * p / q
+        except OverflowError:
+            value = math.inf
+        return f"{Decimal(sign * p)}/{Decimal(q)}", value
+    uses = {}
+    for c, (m, _) in zip(vec, mapping.branches):
+        if c:
+            uses[m] = uses.get(m, 0) + c
+    num = "*".join(f"{m}^{c}" if m > 0 else f"({m})^{c}" for m, c in sorted(uses.items()))
+    return f"{num}/{mapping.d}^{sum(vec)}", sign * _nearest_float(terms)
 
 
 @main.command("lambda")
@@ -457,13 +494,10 @@ def lambda_cmd(family, path, counts, fmt):
     """
     mapping = _resolve_mapping(family, path)
     vec = _parse_counts(mapping, counts)
-    lam = lambda_exact(mapping, vec)
     ln = ln_lambda(mapping, vec)
-    try:
-        decimal = f"{float(lam):.15f}"
-    except OverflowError:
-        decimal = None
-    payload = {"counts": list(vec), "lambda": _fraction_text(mapping, vec, lam),
+    text, value = _lambda_text(mapping, vec)
+    decimal = None if math.isinf(value) else f"{value:.15f}"
+    payload = {"counts": list(vec), "lambda": text,
                "decimal": decimal, "ln_lambda": float(ln.value),
                "negative": ln.negative}
     if fmt == "json":

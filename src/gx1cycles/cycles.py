@@ -12,22 +12,12 @@ import json
 from dataclasses import dataclass, field
 
 from ._backend import NEW_CYCLE, STEP_CUTOFF, Engine
-from .affine import AffineMap, compose_affine
 from .mappings import (DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, BranchCounts,
-                       MappingDef, json_int)
+                       CutoffExceededError, MappingDef, json_int)
 
 
 class NotAClosedCycleError(ValueError):
     """The element sequence is not a cycle of the mapping."""
-
-
-class CutoffExceededError(RuntimeError):
-    """A cutoff stopped the walk before any cycle was entered."""
-
-    def __init__(self, message, kind, steps):
-        super().__init__(message)
-        self.kind = kind          # "steps" or "magnitude"
-        self.steps = steps
 
 
 class BudgetExceededError(ValueError):
@@ -91,11 +81,6 @@ def canonicalize(mapping: MappingDef, raw_elements) -> Cycle:
         branches.append(b)
     return Cycle(tuple(elems), tuple(branches),
                  BranchCounts.from_branches(mapping, branches))
-
-
-def cycle_affine(mapping: MappingDef, cycle: Cycle) -> AffineMap:
-    """Exact affine map of one full turn around the cycle from its minimum."""
-    return compose_affine(mapping, cycle.branches)
 
 
 def detect_cycle(mapping: MappingDef, start: int,

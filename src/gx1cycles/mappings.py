@@ -22,17 +22,14 @@ class InvalidMappingError(ValueError):
     """A branch table violates the mapping invariants."""
 
 
-class MagnitudeCutoff(RuntimeError):
-    """Trajectory magnitude exceeded the configured cutoff.
+class CutoffExceededError(RuntimeError):
+    """A step or magnitude cutoff stopped a walk: "undecided" (for the
+    magnitude cutoff, probable divergence), never a proof of divergence."""
 
-    This signals "undecided" (probable divergence), never a proof of
-    divergence.
-    """
-
-    def __init__(self, message, steps_completed, last_value):
+    def __init__(self, message, kind, steps):
         super().__init__(message)
-        self.steps_completed = steps_completed
-        self.last_value = last_value
+        self.kind = kind          # "steps" or "magnitude"
+        self.steps = steps
 
 
 @dataclass(frozen=True)
@@ -53,10 +50,6 @@ class MappingDef:
         m, r = self.branches[b]
         return (m * x - r) // self.d, b
 
-    def ratios(self) -> tuple[Fraction, ...]:
-        """Per-branch slope m_i/d."""
-        return tuple(Fraction(m, self.d) for m, _ in self.branches)
-
     def two_ratio_split(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """(growth branch indices, division branch indices) for mappings with
         exactly two distinct branch slopes; None otherwise.
@@ -64,7 +57,7 @@ class MappingDef:
         The branches whose slope has the larger absolute value are the
         growth branches (k1), the others the division branches (k2).
         """
-        slopes = [abs(rat) for rat in self.ratios()]
+        slopes = [abs(Fraction(m, self.d)) for m, _ in self.branches]
         if len(set(slopes)) != 2:
             return None
         large = max(slopes)
@@ -126,24 +119,23 @@ class Trajectory:
     branches: tuple[int, ...]
 
     @property
-    def start(self) -> int:
-        return self.values[0]
-
-    @property
     def steps(self) -> tuple[tuple[int, int], ...]:
         """(value reached, branch taken) for each application."""
         return tuple(zip(self.values[1:], self.branches))
 
-    def __len__(self):
-        return len(self.branches)
+    @property
+    def counts(self) -> BranchCounts:
+        """Per-branch usage counts of the walk."""
+        return BranchCounts.from_branches(self.mapping, self.branches)
 
 
 def trajectory(mapping: MappingDef, start: int, steps: int,
                max_magnitude: int | None = DEFAULT_MAX_MAGNITUDE) -> Trajectory:
     """Iterate `steps` times from `start`, recording values and branch indices.
 
-    Raises MagnitudeCutoff when an iterate exceeds max_magnitude in
-    absolute value (undecided / probable divergence).
+    Raises CutoffExceededError of kind "magnitude" when an iterate
+    exceeds max_magnitude in absolute value (undecided / probable
+    divergence).
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -153,9 +145,9 @@ def trajectory(mapping: MappingDef, start: int, steps: int,
     for j in range(steps):
         x, b = mapping.apply(x)
         if max_magnitude is not None and abs(x) > max_magnitude:
-            raise MagnitudeCutoff(
+            raise CutoffExceededError(
                 f"|iterate| exceeded {max_magnitude} after {j + 1} steps (undecided)",
-                steps_completed=j + 1, last_value=x)
+                "magnitude", j + 1)
         values.append(x)
         branches.append(b)
     return Trajectory(mapping, tuple(values), tuple(branches))
@@ -200,14 +192,6 @@ class BranchCounts:
         if self.k1 is None:
             raise ValueError("counts have no (k1, k2) split: mapping is not two-slope")
         return (self.k1, self.k2)
-
-
-def branch_counts(obj) -> BranchCounts:
-    """Branch usage counts of a Trajectory (or anything carrying .counts)."""
-    existing = getattr(obj, "counts", None)
-    if isinstance(existing, BranchCounts):
-        return existing
-    return BranchCounts.from_branches(obj.mapping, obj.branches)
 
 
 # --- named families ---------------------------------------------------------
@@ -279,21 +263,21 @@ def matthews_4branch() -> MappingDef:
 def mapping_from_name(selector: str) -> MappingDef:
     """Resolve a family selector: collatz | 3x1 | perm:<1-6> |
     carnielli-T:<d> | carnielli-L:<d> | matthews | custom:<file>."""
-    if selector == "collatz":
-        return collatz()
-    if selector == "3x1":
-        return three_x_plus_one()
-    if selector == "matthews":
-        return matthews_4branch()
-    if selector.startswith("perm:"):
-        return permutation_variant(int(selector.split(":", 1)[1]))
-    if selector.startswith("carnielli-T:"):
-        return carnielli_T(int(selector.split(":", 1)[1]))
-    if selector.startswith("carnielli-L:"):
-        return carnielli_L(int(selector.split(":", 1)[1]))
-    if selector.startswith("custom:"):
-        return mapping_from_file(selector.split(":", 1)[1])
-    raise ValueError(f"unknown mapping selector: {selector!r}")
+    named = {"collatz": collatz, "3x1": three_x_plus_one, "matthews": matthews_4branch}
+    if selector in named:
+        return named[selector]()
+    kind, colon, arg = selector.partition(":")
+    if colon and kind == "custom":
+        return mapping_from_file(arg)
+    numbered = {"perm": permutation_variant, "carnielli-T": carnielli_T,
+                "carnielli-L": carnielli_L}
+    if not colon or kind not in numbered:
+        raise ValueError(f"unknown mapping selector: {selector!r}")
+    try:
+        number = int(arg)
+    except ValueError:
+        raise ValueError(f"mapping selector {selector!r}: {arg!r} is not an integer") from None
+    return numbered[kind](number)
 
 
 def mapping_from_file(path) -> MappingDef:

@@ -81,6 +81,19 @@ def _coprime_base(numbers: Iterable[int]) -> list[int]:
     return base
 
 
+def _exponents(terms: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """(q, e) over a coprime base of the bases, with prod base^coef ==
+    prod q^e.  The q^e with e > 0 multiply to the numerator of the
+    reduced product, the q^-e with e < 0 to its denominator."""
+    for q in _coprime_base(base for _, base in terms):
+        exp = 0
+        for coef, base in terms:
+            while base % q == 0:
+                base //= q
+                exp += coef
+        yield q, exp
+
+
 def _is_exact_one(terms: Sequence[tuple[int, int]]) -> bool:
     """Whether prod base^coef == 1 exactly.
 
@@ -92,15 +105,7 @@ def _is_exact_one(terms: Sequence[tuple[int, int]]) -> bool:
     terms = [(coef, base) for coef, base in terms if coef and base != 1]
     if any(base < 1 for _, base in terms):
         raise ValueError("log-linear form needs positive integer bases")
-    for q in _coprime_base(base for _, base in terms):
-        exp = 0
-        for coef, base in terms:
-            while base % q == 0:
-                base //= q
-                exp += coef
-        if exp:
-            return False
-    return True
+    return all(exp == 0 for _, exp in _exponents(terms))
 
 
 class _LogEvaluator:
@@ -209,26 +214,46 @@ def lambda_exact(mapping, counts) -> Fraction:
     return lam
 
 
-def ln_lambda(mapping: MappingDef, counts,
-              precision_bits: int = DEFAULT_PRECISION_BITS) -> LnLambda:
+def ln_lambda(mapping: MappingDef, counts) -> LnLambda:
     """High-precision ln of |lambda| with a certified error bound.
 
-    The bound is kept below 2^-(precision_bits - 8).  Negative
-    multipliers make lambda signed; the log applies to |lambda| and the
-    flag is set (with a warning), since the bound theory assumes
-    positive branch ratios.
+    The bound is kept below 2^-248.  Negative multipliers make lambda
+    signed; the log applies to |lambda| and the flag is set (with a
+    warning), since the bound theory assumes positive branch ratios.
     """
     import mpmath as mp
 
-    bits = max(64, precision_bits)
     terms, negative = _terms(mapping.d, _uses(mapping, counts))
     if negative:
         warnings.warn("negative multiplier: ln applies to |lambda|", stacklevel=2)
     if _is_exact_one(terms):
         return LnLambda(mp.mpf(0), mp.mpf(0), negative)
-    target = mp.mpf(2) ** (8 - bits)
-    value, err = _LogEvaluator(bits + 16)._refine(terms, lambda _, err: err <= target)
+    target = mp.mpf(2) ** (8 - DEFAULT_PRECISION_BITS)     # 2^-248
+    value, err = _LogEvaluator(DEFAULT_PRECISION_BITS + 16)._refine(
+        terms, lambda _, err: err <= target)
     return LnLambda(value, err, negative)
+
+
+def _nearest_float(terms: Sequence[tuple[int, int]]) -> float:
+    """The float nearest prod base^coef (inf past the float range), from
+    logs refined until both ends of their certified interval round alike.
+
+    That settles unless the product is a rounding edge: a midpoint of two
+    floats, the edge of the float range, or, since mpmath rounds a
+    subnormal result twice (to 53 bits, then to the subnormal), a
+    53-bit midpoint below 2^-1022, where the result can be one ulp off.
+    Every such edge is p/q with p and q below 2^1200.
+    """
+    import mpmath as mp
+
+    ev = _LogEvaluator()
+
+    def rounded(value, err):    # 2*err also covers the error of exp itself
+        with mp.workprec(ev.prec):
+            return {float(mp.exp(value - 2 * err)), float(mp.exp(value + 2 * err))}
+
+    value, err = ev._refine(terms, lambda value, err: len(rounded(value, err)) == 1)
+    return rounded(value, err).pop()
 
 
 def rho_max(k1: int) -> Fraction:

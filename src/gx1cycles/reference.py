@@ -28,11 +28,6 @@ def _read(name: str):
         return json.load(fh)
 
 
-def data_path(name: str):
-    """Filesystem path of a bundled data file."""
-    return resources.files("gx1cycles.data").joinpath(name)
-
-
 def load_reference_table(family_name: str) -> dict:
     if family_name not in _TABLES:
         raise ValueError(f"no bundled node table for family {family_name!r}")
@@ -46,7 +41,8 @@ def load_bundled_catalog(name: str) -> dict:
 
 
 def catalog_path(name: str):
-    return data_path(_CATALOGS[name])
+    """Filesystem path of a bundled catalog file."""
+    return resources.files("gx1cycles.data").joinpath(_CATALOGS[name])
 
 
 def reference_depth(table: dict) -> int:

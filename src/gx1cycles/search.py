@@ -13,7 +13,6 @@ docstring argues why.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from collections import Counter
@@ -57,11 +56,6 @@ class SearchReport:
             "backend": self.backend,
             "cycles": [c.to_json() for c in self.catalog.cycles],
         }
-
-    def dump(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
 
 
 def _pivot(lo, hi):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gx1cycles as gx
-from gx1cycles.affine import AffineMap, branch_affine, compose_affine
+from gx1cycles.affine import AffineMap, compose_affine
 
 
 def test_single_branch_affine(g):
@@ -15,16 +16,24 @@ def test_single_branch_affine(g):
 
 def test_empty_sequence_is_identity(g):
     a = compose_affine(g, [])
-    assert a == AffineMap.IDENTITY
+    assert a == AffineMap(Fraction(1), Fraction(0))
     assert a(Fraction(7)) == 7
 
 
+def test_fields_are_slope_and_offset(g):
+    assert [f.name for f in dataclasses.fields(AffineMap)] == ["slope", "offset"]
+    assert repr(compose_affine(g, [])) == "AffineMap(slope=Fraction(1, 1), offset=Fraction(0, 1))"
+
+
 def test_composition_matches_then(g):
+    # one branch, then the next; two points fix an affine map, so this
+    # compares slope and offset
     seq = [1, 2, 0, 1]
-    step_by_step = AffineMap.IDENTITY
-    for b in seq:
-        step_by_step = step_by_step.then(branch_affine(g, b))
-    assert compose_affine(g, seq) == step_by_step
+    for x in (Fraction(0), Fraction(1)):
+        stepped = x
+        for b in seq:
+            stepped = compose_affine(g, [b])(stepped)
+        assert compose_affine(g, seq)(x) == stepped
 
 
 def test_offset_maximum_for_two_growth_steps(g):
@@ -52,8 +61,7 @@ def _sequences(k2, k1):
 def test_fixed_point(g):
     a = compose_affine(g, [1])          # x -> (4x - 1)/3, fixed point 1
     assert a.fixed_point() == 1
-    ident = AffineMap.IDENTITY
-    assert ident.fixed_point() is None
+    assert compose_affine(g, []).fixed_point() is None
 
 
 def test_branch_index_validated(g):

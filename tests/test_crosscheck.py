@@ -102,7 +102,7 @@ def test_oracle_matches_brute_force_reference(mapping, max_period):
     # a fixed point closing on a cycle of another word adds only cycles
     # whose own word has slope 1, which the oracle skips
     for cyc in closing - taking:
-        assert gx.cycle_affine(mapping, cyc).slope == 1
+        assert gx.compose_affine(mapping, cyc.branches).slope == 1
 
 
 def _plain_walk(mapping, start, max_magnitude, budget):

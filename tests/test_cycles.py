@@ -91,7 +91,7 @@ class TestEnumerate:
         assert sorted(c.min_abs_element for c in p4) == [-333, -330, -261, -186, -137, -117]
         for c in p4:
             assert c.counts.counts == (1, 1, 1, 1)
-            assert gx.cycle_affine(mat, c).slope == Fraction(255, 256)
+            assert gx.compose_affine(mat, c.branches).slope == Fraction(255, 256)
 
     def test_catalog_sorted_canonically(self, g):
         cat = gx.enumerate_cycles_exact(g, 5)

@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gx1cycles as gx
-from gx1cycles.mappings import InvalidMappingError, MagnitudeCutoff
+from gx1cycles.mappings import CutoffExceededError, InvalidMappingError
 
 
 class TestValidate:
@@ -65,9 +67,10 @@ class TestTrajectory:
         assert traj.steps == ((5, 1), (7, 2), (9, 1))
 
     def test_magnitude_cutoff_signals_undecided(self, g):
-        with pytest.raises(MagnitudeCutoff, match="undecided") as err:
+        with pytest.raises(CutoffExceededError, match="undecided") as err:
             gx.trajectory(g, 27, 10_000, max_magnitude=10**6)
-        assert err.value.steps_completed < 10_000
+        assert err.value.kind == "magnitude"
+        assert err.value.steps < 10_000
 
     def test_negative_steps_rejected(self, g):
         with pytest.raises(ValueError):
@@ -138,8 +141,17 @@ class TestFamilies:
         assert gx.mapping_from_name("perm:3").branches == h.branches
         assert gx.mapping_from_name("carnielli-T:5").d == 5
         assert gx.mapping_from_name("carnielli-L:4").branches[3] == (5, -1)
-        with pytest.raises(ValueError):
-            gx.mapping_from_name("nonsense")
+        for bad in ("nonsense", "perm", "custom", "carnielli-X:3", "matthews:1"):
+            with pytest.raises(ValueError, match="unknown mapping selector"):
+                gx.mapping_from_name(bad)
+
+    @pytest.mark.parametrize("selector, number", [
+        ("perm:x", "'x'"), ("carnielli-T:x", "'x'"), ("carnielli-L:", "''"),
+        ("perm:1.5", "'1.5'")])
+    def test_bad_selector_number_names_the_selector(self, selector, number):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mapping selector {selector!r}: {number} is not an integer")):
+            gx.mapping_from_name(selector)
 
     def test_mapping_json_round_trip(self, mat, tmp_path):
         path = tmp_path / "m.json"
@@ -155,25 +167,25 @@ class TestFamilies:
 class TestBranchCounts:
     def test_5_cycle_counts(self, g):
         traj = gx.trajectory(g, 4, 5)
-        counts = gx.branch_counts(traj)
+        counts = traj.counts
         assert counts.as_pair() == (3, 2)
         assert counts.counts == (2, 2, 1)
 
     def test_2_cycle_counts(self, g):
-        counts = gx.branch_counts(gx.trajectory(g, 2, 2))
+        counts = gx.trajectory(g, 2, 2).counts
         assert counts.as_pair() == (1, 1)
 
     def test_fixed_point_counts(self, g):
-        counts = gx.branch_counts(gx.trajectory(g, 1, 1))
+        counts = gx.trajectory(g, 1, 1).counts
         assert counts.as_pair() == (1, 0)
 
     def test_counts_sum_to_length(self, mat):
         traj = gx.trajectory(mat, 6, 100)
-        counts = gx.branch_counts(traj)
+        counts = traj.counts
         assert counts.k == 100 == sum(counts.counts)
 
     def test_no_pair_for_many_slope_mappings(self, mat):
-        counts = gx.branch_counts(gx.trajectory(mat, 6, 10))
+        counts = gx.trajectory(mat, 6, 10).counts
         assert counts.k1 is None
         with pytest.raises(ValueError):
             counts.as_pair()

@@ -46,7 +46,7 @@ class TestLambdaExact:
         assert abs(float(lam) - 1.354586564) < 1e-8
 
     def test_from_branch_counts(self, g):
-        counts = gx.branch_counts(gx.trajectory(g, 4, 5))
+        counts = gx.trajectory(g, 4, 5).counts
         assert gx.lambda_exact(g, counts) == Fraction(256, 243)
 
     def test_counts_length_checked(self, g):
@@ -82,9 +82,9 @@ class TestLnLambda:
         assert 0 < abs(float(ln.value)) < 2e-5
 
     def test_error_bound_documented(self, g):
-        for bits in (64, 128, 256, 512):
-            ln = gx.ln_lambda(g, (5, 100, 70), precision_bits=bits)
-            assert ln.error_bound <= mp.mpf(2) ** (8 - bits)
+        for counts in ((5, 100, 70), (1, 1, 0), (6475, 9126, 0), (10**40, 3, 10**40)):
+            ln = gx.ln_lambda(g, counts)
+            assert 0 < ln.error_bound <= mp.mpf(2) ** -248
 
     def test_agrees_with_exact_fraction(self, g):
         for counts in ((1, 1, 0), (3, 10, 7), (22, 20, 11)):
@@ -222,7 +222,7 @@ class TestBoundC:
         # perm:3 shares the Collatz slopes but not its offsets, so it has
         # no default constant: its own 6-cycle, least term 4, lies above
         # the C = 2.48 that 7/24 would give
-        counts = gx.branch_counts(gx.detect_cycle(h, 8))
+        counts = gx.detect_cycle(h, 8).counts
         with pytest.raises(ValueError, match="no default bound constant"):
             gx.bound_C(h, counts)
         result = gx.bound_C(h, counts, constant=COLLATZ_CONSTANT)

@@ -67,12 +67,12 @@ def test_published_trajectory_rows(family, start, steps, second, end, pair):
     traj = gx.trajectory(mapping, start, steps)
     assert traj.values[1] == second
     assert traj.values[-1] == end
-    assert gx.branch_counts(traj).as_pair() == pair
+    assert traj.counts.as_pair() == pair
 
 
 @pytest.mark.parametrize("family,start,steps", PUBLISHED_LAMBDAS)
 def test_published_ratio_products(family, start, steps):
     mapping = gx.mapping_from_name(family)
     traj = gx.trajectory(mapping, start, steps)
-    lam = gx.lambda_exact(mapping, gx.branch_counts(traj).counts)
+    lam = gx.lambda_exact(mapping, traj.counts.counts)
     assert float(lam) == PUBLISHED_LAMBDAS[family, start, steps]
