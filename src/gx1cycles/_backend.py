@@ -15,8 +15,10 @@ and a walk_tally against a table that holds the cycle gives the tail
 length.
 
 A member table is a plain dict from cycle member to cycle id.  Walks
-keep no state on the Engine, except its K-step jump table: read-only,
-fixed by the mapping, and built on the first walk that can use it.
+keep no state on the Engine, except its K-step jump table (read-only,
+fixed by the mapping, and built once walks have taken _JUMP_AFTER
+single steps beyond far, so that a search whose walks seldom get there
+does not pay for it) and the count of those steps.
 
 Both walks also take an optional memo: a sequence `memo` of integer
 entries, where memo[i] belongs to the start base + i.  From its first
@@ -36,6 +38,18 @@ walk jumps K steps at a time while the bounds prove that none of the
 skipped iterates could have stopped it or moved Brent's tortoise, so it
 returns what the step-by-step walk returns.  K is the largest with
 d^K <= 1024; there are no jumps when K < 2.
+
+Stopping-time rows.  The same residues give, for most classes r mod
+d^K, the first step j <= K at which |x_j| < |x|, with x_j = a*q + t for
+x = d^K*q + r, once |x| is past a threshold of the row (Terras 1976; the
+sieves of Oliveira e Silva, Math. Comp. 68, 1999).  drop_table builds
+these rows; search_range uses them to settle a start with no walk.  When
+the start lies above every member and within the row's magnitude bound,
+the iterates before j lie above |start| and within max_magnitude, so a
+walk meets no member, no memo start with an entry (the search takes
+starts by increasing distance from its pivot), no cutoff and no repeat
+of Brent's tortoise before step j: it returns what x_j gives, which the
+search reads from the member table and the memo itself.
 """
 
 from __future__ import annotations
@@ -48,6 +62,7 @@ MEMO_HIT = 4       # reached a start with a memo entry; payload = the entry
 
 _kernel = None     # no compiled walker; perfbench reads this name
 _JUMP_SPAN = 1024  # a jump table has D = d^K <= _JUMP_SPAN rows
+_JUMP_AFTER = 256  # single steps beyond far that walks take before jumps start
 
 
 class Engine:
@@ -61,10 +76,12 @@ class Engine:
         self.K = K = next(k for k in range(_JUMP_SPAN) if d ** (k + 1) > _JUMP_SPAN)
         self.D = d ** K
         self._jumps = None      # built by jump_table on first use
+        self._drops = None      # built by drop_table on first use
+        self._far_steps = 0     # single steps beyond far before jumps start
 
     def jump_table(self):
-        """The K-step table (rows, up, cb), built on first use; None when
-        K < 2.
+        """The K-step table (rows, up, cb, num_max), built on first use; None
+        when K < 2.
 
         The first K branches of x depend only on x mod D, so with
         x = D*q + r, 0 <= r < D, the i-th iterate satisfies
@@ -73,8 +90,8 @@ class Engine:
         (A_K, T^K(r), num, cb_r), hence T^K(x) = A_K*q + T^K(r) and
             num*|x| - cb_r <= |x_i| * D <= up*|x| + cb     (1 <= i <= K)
         with num the least and cb_r the largest of |A_i| d^(K-i) and
-        |B_i| d^(K-i) over i, and up and cb the largest of |A_i| d^(K-i)
-        and cb_r over every i and r.
+        |B_i| d^(K-i) over i, up and cb the largest of |A_i| d^(K-i)
+        and cb_r over every i and r, and num_max the largest num over r.
         """
         if self._jumps is None and self.K >= 2:
             d, ms, rs = self.d, self.ms, self.rs
@@ -93,8 +110,49 @@ class Engine:
                                       max(d * up, abs(a)), max(d * cb, abs(c))))
                 rows = level
             self._jumps = ([(a, y, num, cb) for a, _, y, num, _, cb in rows],
-                           max(row[4] for row in rows), max(row[5] for row in rows))
+                           max(row[4] for row in rows), max(row[5] for row in rows),
+                           max(row[3] for row in rows))
         return self._jumps
+
+    def drop_table(self):
+        """The stopping-time rows, built on first use: one per r mod D.
+
+        With x = D*q + r and x_i * d^i = A_i*x + B_i as in jump_table,
+        rows[r] is None unless some j <= K has |A_j| < d^j while
+        |A_i| > d^i for every 0 < i < j.  Then it is (j, a, t, low, up, cb)
+        with a = A_j d^(K-j) and t = T^j(r), so that x_j = a*q + t, and
+        for every x in the class with |x| >= low
+            |x_i| > |x|  (0 < i < j)   and   |x_j| < |x|,
+        since |x_i| d^i >= |A_i| |x| - |B_i|, and
+            |x_i| * D <= up*|x| + cb   (0 <= i < j).
+        A row ends at step j, so the rows of r mod d^j fill the table with
+        stride d^j, and only the rows that have not ended go on to the next
+        level.
+        """
+        if self._drops is None:
+            d, ms, rs, D = self.d, self.ms, self.rs, self.D
+            table = [None] * D
+            # (r, A_k, B_k, T^k(r), low, up, cb) of the rows of r mod d^k
+            # that have not ended, k = 0 first; up and cb bound i <= k at scale d^k
+            rows = [(0, 1, 0, 0, 0, 1, 0)]
+            for k in range(self.K):
+                dk, dj, level = d ** k, d ** (k + 1), []
+                for u in range(d):
+                    for p, a, c, y, low, up, cb in rows:
+                        x = a * u + y       # T^k(r) of r = p + u*d^k
+                        b = x % d
+                        r, y = p + u * dk, (ms[b] * x - rs[b]) // d
+                        a, c = ms[b] * a, ms[b] * c - rs[b] * dk
+                        if abs(a) > dj:
+                            level.append((r, a, c, y, max(low, abs(c) // (abs(a) - dj) + 1),
+                                          max(d * up, abs(a)), max(d * cb, abs(c))))
+                        elif abs(a) < dj:   # the row ends at j = k + 1
+                            low, n, s = max(low, abs(c) // (dj - abs(a)) + 1), D // dj, D // dk
+                            table[r::dj] = [(k + 1, a * n, y + a * v, low, up * s, cb * s)
+                                            for v in range(n)]
+                rows = level
+            self._drops = table
+        return self._drops
 
     def far(self, reach, max_magnitude):
         """walk_brent's far for reach, the largest |v| over the members and
@@ -130,9 +188,10 @@ class Engine:
 
         far, if given, is at least |v| for every member and memo start v
         within max_magnitude (Engine.far gives such a value).  An iterate beyond far
-        skips the member and memo tests.  From it the walk takes K steps
-        per jump_table row while the row proves that none of the K
-        iterates is past max_magnitude or within max(far, |tortoise|),
+        skips the member and memo tests.  Once walks on this Engine have
+        taken _JUMP_AFTER single steps beyond far, the walk takes K steps
+        per jump_table row from there while the row proves that none of
+        the K iterates is past max_magnitude or within max(far, |tortoise|),
         the budget holds them all and the tortoise moves at none but the
         last.  The result is the same as without far.
         """
@@ -154,6 +213,7 @@ class Engine:
         tortoise = hare = x0
         apps = 0
         hi = None       # jump limits, set at the first iterate beyond far
+        bar = None      # the tortoise bound of the jump guard, None after a teleport
         while True:
             if apps == max_steps:
                 return (STEP_CUTOFF, max_steps, None)
@@ -170,14 +230,23 @@ class Engine:
                     tortoise = hare
                     power <<= 1
                     lam = 0
+                    bar = None
                 if hi is None:
+                    # the table costs more than a few walks beyond far save
+                    self._far_steps += 1
+                    if self._far_steps <= _JUMP_AFTER:
+                        continue
                     K, D, last = self.K, self.D, max_steps - self.K
-                    rows, up, cb = self.jump_table() or ((), 1, 0)
+                    rows, up, cb, num_max = self.jump_table() or ((), 1, 0, 1)
                     # |x| <= hi keeps x_1..x_K within max_magnitude
                     hi = (max_magnitude * D - cb) // up if rows else -1
-                # jump while x_1..x_K all lie beyond far and the tortoise
-                bar = (far if far > abs(tortoise) else abs(tortoise)) * D
-                while apps <= last and lam + K <= power and -hi <= hare <= hi:
+                # jump while x_1..x_K all lie beyond far and the tortoise;
+                # no row passes the guard below for |x| <= least = bar // num_max
+                if bar is None:
+                    bar = (far if far > abs(tortoise) else abs(tortoise)) * D
+                    least = bar // num_max
+                while (apps <= last and lam + K <= power and -hi <= hare <= hi
+                       and (hare > least or hare < -least)):
                     q, r = divmod(hare, D)
                     m, t, num, cb_r = rows[r]
                     if (hare if hare > 0 else -hare) * num - cb_r <= bar:
@@ -190,6 +259,7 @@ class Engine:
                         power <<= 1
                         lam = 0
                         bar = (far if far > abs(tortoise) else abs(tortoise)) * D
+                        least = bar // num_max
                 continue
             if hare in members:
                 return (ENTERED, apps, members[hare])
@@ -202,6 +272,7 @@ class Engine:
                 tortoise = hare
                 power <<= 1
                 lam = 0
+                bar = None
 
         # hare is on the cycle and lam is its period: list the cycle from it
         elements = [hare]

@@ -488,8 +488,8 @@ def _lambda_text(mapping, vec):
 def lambda_cmd(family, path, counts, fmt):
     """Exact branch-ratio product for given usage counts.
 
-    The product is printed as p/q, or, when p or q has more digits than
-    Python converts to text, as the unreduced product of powers
+    The product is printed as p/q while p and q have at most 4,300
+    digits each, and otherwise as the unreduced product of powers
     m^c/d^k over the branch multipliers m.
     """
     mapping = _resolve_mapping(family, path)

@@ -5,7 +5,9 @@ exceeding the step budget, or exceeding the magnitude cutoff.  Discovery
 runs Brent detection with early exits on known cycle members and on
 starts the search has already classified (the range memo, an array of
 the outcomes of the starts nearest the pivot); starts are taken in order
-of increasing distance from 0, so most walks stop after a few steps.
+of increasing distance from 0, so most walks stop after a few steps, and
+on a wide range most starts are settled from a table of stopping-time
+rows with no walk at all.
 The final report is a pure function of the range, the cutoffs and the
 discovered catalog, so it is identical across runs; search_range's
 docstring argues why.
@@ -24,6 +26,8 @@ from .mappings import DEFAULT_MAX_MAGNITUDE, DEFAULT_MAX_STEPS, MappingDef
 from .nodes import Node, bound_C, node_family
 
 _MEMO_CAP = 1 << 17     # memo entries, 8 bytes each: at most 1 MiB per search
+_SIEVE_SPAN = 16        # the sieve runs on ranges of at least this many starts per row
+_NO_DROP = (1, 0, 0, 0, 0)  # a sieve row that settles no start
 
 
 @dataclass(frozen=True)
@@ -84,17 +88,22 @@ class _Search:
       (cid << shift | t) << 2 | c -- final: code c (ENTERED, STEP_CUTOFF
                                      or MAG_CUTOFF) at step t, cycle id
                                      cid for ENTERED, else 0;
-      -2 - seen                   -- pending: a deferred start, where seen
-                                     is the number of cycles registered
-                                     when the first start of its chain
-                                     was deferred.
+      -2 - k                      -- pending: the k-th deferred start.
     t is at most max_steps < 2^shift, so an entry fits in 63 bits when
     the range size and max_steps together need at most 61 bits;
     otherwise the memo is empty and every walk is a plain one.
 
     reach is the largest |v| over the window's ends and every registered
-    member, and far the walk_brent argument that Engine.far derives from
-    it: no iterate beyond far is one of them.
+    member, top the largest over the members alone, and far the
+    walk_brent argument that Engine.far derives from reach: no iterate
+    beyond far is one of them.
+
+    sieve, on a range of at least _SIEVE_SPAN starts per row with a memo,
+    holds one (low, high, a, t, j) per Engine.drop_table row: a start s
+    with top < |s| and low <= |s| <= high in the row's class drops below
+    |s| at step j <= max_steps, at x_j = a*q + t for s = D*q + r, and its
+    iterates before j lie above |s| and within max_magnitude.  Rows that
+    settle nothing are _NO_DROP.
     """
 
     def __init__(self, mapping, lo, hi, max_steps, max_magnitude):
@@ -117,6 +126,13 @@ class _Search:
         self.memo = array("q", [-1]) * n
         self.reach = max(abs(self.base), abs(self.base + n - 1)) if n else 0
         self.far = self.engine.far(self.reach, max_magnitude)
+        self.top = 0
+        self.sieve = ()
+        if n and size >= _SIEVE_SPAN * self.engine.D:
+            scaled = max_magnitude * self.engine.D
+            self.sieve = [_NO_DROP if row is None or row[0] > max_steps else
+                          (row[3], (scaled - row[5]) // row[4], row[1], row[2], row[0])
+                          for row in self.engine.drop_table()]
 
     def register(self, cycle):
         """Cycle id of a newly closed cycle."""
@@ -124,7 +140,8 @@ class _Search:
         for v in cycle.elements:
             self.members[v] = cid
         self.cycles.append(cycle)
-        self.reach = max(self.reach, -cycle.min_element, max(cycle.elements))
+        self.top = max(self.top, -cycle.min_element, max(cycle.elements))
+        self.reach = max(self.reach, self.top)
         self.far = self.engine.far(self.reach, self.max_magnitude)
         return cid
 
@@ -137,23 +154,46 @@ class _Search:
 
 # perfbench traces this name, and reads `starts` as its second argument
 def _discover_block(run, starts):
-    """Brent-walk every start; returns the deferred starts, each with the
-    number of cycles registered when the first start of its chain was
-    deferred."""
+    """Settle every start from the sieve or by a Brent walk; returns the
+    deferred starts, each as (s, seen, j, root): seen is the number of
+    cycles registered when root, the first start of its chain, was
+    deferred, which s reaches after j steps (root None and j 0 when s
+    itself ran out of budget)."""
     walk, mapping, outcomes, hits = run.engine.walk_brent, run.mapping, run.outcomes, run.hits
     members, memo, base, size = run.members, run.memo, run.base, len(run.memo)
     max_steps, max_magnitude, far = run.max_steps, run.max_magnitude, run.far
     mask, cid_shift = run.mask, run.shift + 2
-    walked = memo_hits = 0
+    sieve, D, top, end = run.sieve, run.engine.D, run.top, base + size
+    walked = memo_hits = sieved = 0
     deferred = []
     for s in starts:
-        code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base, far)
+        code = None
+        if sieve and top < (a := s if s >= 0 else -s):
+            # the walk's result, from the row (search_range, Exactness)
+            q, r = divmod(s, D)
+            low, high, m, t, j = sieve[r]
+            if low <= a <= high:
+                x = m * q + t
+                if x in members:
+                    code, steps, payload = ENTERED, j, members[x]
+                elif base <= x < end and memo[x - base] != -1:
+                    code, steps, payload = MEMO_HIT, j, memo[x - base]
+        if code is None:
+            code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base, far)
+        else:
+            sieved += 1
         walked += steps
         if code == MEMO_HIT:
             memo_hits += 1
             if payload < -1:
-                deferred.append((s, -2 - payload))
-                entry = payload
+                # the pending start y reached was deferred earlier, and
+                # reaches the first start of its chain after jy steps
+                y, seen, jy, root = deferred[-2 - payload]
+                if steps + jy > max_steps:
+                    entry = STEP_CUTOFF
+                else:
+                    entry = -2 - len(deferred)
+                    deferred.append((s, seen, steps + jy, y if root is None else root))
             elif steps + (payload >> 2 & mask) <= max_steps:
                 # the reached start's outcome, `steps` later; past the
                 # budget it is a step cutoff
@@ -161,12 +201,11 @@ def _discover_block(run, starts):
             else:
                 entry = STEP_CUTOFF
         elif code == STEP_CUTOFF:
-            seen = len(run.cycles)
-            deferred.append((s, seen))
-            entry = -2 - seen
+            entry = -2 - len(deferred)
+            deferred.append((s, len(run.cycles), 0, None))
         elif code == NEW_CYCLE:
             cid = run.register(canonicalize(mapping, payload))
-            far = run.far
+            far, top = run.far, run.top
             # Brent touched no member and no cutoff before it closed the
             # cycle, so this walk stops where the orbit first enters it
             steps = run.engine.walk_tally(s, max_steps, max_magnitude, members)[1]
@@ -182,29 +221,34 @@ def _discover_block(run, starts):
             memo[s - base] = entry
     run.work["steps"] += walked
     run.work["memo_hits"] += memo_hits
+    run.work["sieved"] += sieved
     return deferred
 
 
 # perfbench traces this name, and reads `starts` as its second argument
 def _tally_block(run, starts):
-    """Walk every deferred start (s, cycles registered when it was
-    deferred) against the final member table, unless no cycle was
-    registered since: then it is a step cutoff with no walk."""
+    """Settle every deferred start (s, seen, j, root) in order: a step
+    cutoff if no cycle was registered after seen, else root's final entry
+    j steps later if it has a root, else by a walk against the final
+    member table."""
     walk, members, memo, base, size = (run.engine.walk_tally, run.members,
                                        run.memo, run.base, len(run.memo))
     max_steps, max_magnitude = run.max_steps, run.max_magnitude
     outcomes, hits, mask, cid_shift = run.outcomes, run.hits, run.mask, run.shift + 2
     cycles, cutoff = len(run.cycles), run.final(STEP_CUTOFF, max_steps, 0)
     walked = memo_hits = skips = 0
-    for s, seen in starts:
+    for s, seen, j, root in starts:
         if seen == cycles:
             skips += 1
             entry = cutoff
         else:
-            code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
-            walked += steps
+            if root is None:
+                code, steps, payload = walk(s, max_steps, max_magnitude, members, memo, base)
+                walked += steps
+                memo_hits += code == MEMO_HIT
+            else:   # root's entry is final: root was deferred, so handled, first
+                code, steps, payload = MEMO_HIT, j, memo[root - base]
             if code == MEMO_HIT:
-                memo_hits += 1
                 if steps + (payload >> 2 & mask) <= max_steps:   # as in _discover_block
                     entry = payload + (steps << 2)
                 else:
@@ -252,26 +296,29 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     against the memo too, but are not recorded in it.
 
     Deferred starts.  A start is deferred when its Brent walk runs out of
-    budget, or reaches a deferred start; it carries seen, the number of
-    cycles registered when the first start of that chain was deferred.
-    Deferred starts are then handled in the order they were deferred,
-    against the final member table and the final memo entries.
+    budget: it is the root of a chain.  A start whose walk reaches a
+    deferred start y after j steps joins y's chain: it reaches the root
+    after J steps, j plus y's own, and carries the root, J and seen, the
+    number of cycles registered when the root was deferred.  Its iterates
+    before the root are each checked by one walk of the chain against the
+    magnitude cutoff and the member table, and no later cycle holds one
+    of them, since the root is on no catalog cycle (see Exactness).  So if
+    J > max_steps the start is a step cutoff at once.  Deferred starts
+    are then handled in the order they were deferred, against the final
+    member table and the final memo entries.
 
-    Skipped tally walks.  A deferred start whose seen is the final number
-    of cycles is a step cutoff with no second walk.  If its Brent walk ran
-    out of budget, it checked the start and iterates 1..max_steps against
-    the magnitude cutoff and the member table, which was then already the
-    final one, and stopped at none of them: by the definition above the
-    start is a step cutoff.  (A memo entry filled later could only pass on
-    a member or a magnitude that Brent would have seen itself.)  If it
-    reached the deferred start y after j >= 1 steps, y was deferred
-    earlier with the same seen, so y is a step cutoff by induction, and
-    the walk checked iterates 1..j against the same final table: the
-    start touches nothing up to step j + max_steps and is a step cutoff
-    too.  Every other deferred start is walked again against the final
-    table.  It stops at y's entry, which is final by then since y was
-    handled first, or earlier at another final entry, a member or the
-    magnitude cutoff, and takes that outcome shifted as above.
+    Tally.  A deferred start whose seen is the final number of cycles is
+    a step cutoff with no second walk.  A root's Brent walk checked the
+    start and iterates 1..max_steps against the magnitude cutoff and the
+    member table, which was then already the final one, and stopped at
+    none of them: by the definition above the root is a step cutoff.  (A
+    memo entry filled later could only pass on a member or a magnitude
+    that Brent would have seen itself.)  A start on its chain touches
+    nothing up to step J + max_steps, and is a step cutoff too.  Every
+    other root is walked again against the final table, and stops at a
+    final entry, a member or the magnitude cutoff.  Every other start on
+    a chain takes its root's entry, final by then since the root was
+    deferred first, J steps later: the root's outcome shifted as above.
 
     Exactness.  An orbit is deterministic and, once it touches a cycle,
     stays in it.  So the first catalog cycle a start touches, and the
@@ -288,6 +335,19 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     cutoff, a member, a memo start or Brent's tortoise, and Brent moves
     the tortoise at most at the last of them (Engine.walk_brent); so
     every walk returns the outcome and step count of a step-by-step walk.
+    The sieve: on a range of many more starts than rows, with a memo, a
+    start s above every member is settled from its Engine.drop_table row
+    when |s| is within the row's threshold and magnitude bound and the
+    row's drop step j is within the budget.  Its iterates before j then
+    lie above |s| and within max_magnitude.  So none is a member, and
+    none is a start with an entry: a start of the range above |s| is
+    farther from the pivot than s, and has none yet.  Nor do they repeat:
+    an orbit that repeated there would keep x_j above |s|, so Brent's
+    tortoise, always an earlier iterate, meets the hare at none of them.
+    x_j lies below |s|.  If it is a member, the walk returns (ENTERED, j,
+    cycle id); if it is a start of the memo window, it is nearer the pivot
+    than s and has an entry, and the walk returns (MEMO_HIT, j, entry).
+    The sieve returns the same, and walks any other s.
 
     A walk that closes a new cycle returns the cycle from the iterate
     where Brent closed it; the start's tail length then comes from a
@@ -297,7 +357,9 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
     counts the walks return (up to the memo hit; up to where Brent closed
     the cycle, plus the tail walk, for a new cycle), meta["memo_hits"]
     the number of walks that stopped at a memo entry, and
-    meta["tally_skips"] the number of deferred starts not walked again.
+    meta["tally_skips"] the number of deferred starts not walked again;
+    a sieved start counts as a walk to x_j, of j steps, and
+    meta["sieved"] is the number of them.
     """
     if lo > hi:
         raise ValueError(f"empty range: lo {lo} > hi {hi}")
@@ -317,7 +379,8 @@ def search_range(mapping: MappingDef, lo: int, hi: int,
                           {run.cycles[cid].min_element: n for cid, n in run.hits.items()},
                           meta={"steps": run.work["steps"],
                                 "memo_hits": run.work["memo_hits"],
-                                "tally_skips": run.work["tally_skips"]})
+                                "tally_skips": run.work["tally_skips"],
+                                "sieved": run.work["sieved"]})
     assert sum(report.tallies.values()) == report.range_size
     return report
 

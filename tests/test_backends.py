@@ -136,8 +136,9 @@ def test_jump_table_takes_k_steps_and_bounds_each(mapping):
     engine = Engine(mapping)
     K, D = engine.K, engine.D
     assert D == mapping.d ** K <= 1024 < D * mapping.d
-    rows, up, cb = engine.jump_table()
+    rows, up, cb, num_max = engine.jump_table()
     assert len(rows) == D and engine.jump_table() is engine.jump_table()
+    assert num_max == max(num for _, _, num, _ in rows)
     for r, (m, t, num, cb_r) in enumerate(rows):
         for q in (-3, -1, 0, 1, 2**70):
             x = D * q + r
@@ -145,6 +146,57 @@ def test_jump_table_takes_k_steps_and_bounds_each(mapping):
                 x, _ = mapping.apply(x)
                 assert num * abs(D * q + r) - cb_r <= abs(x) * D <= up * abs(D * q + r) + cb
             assert m * q + t == x
+
+
+@pytest.mark.parametrize("mapping", [
+    *(gx.mapping_from_name(name) for name in (
+        "collatz", "3x1", "perm:3", "carnielli-T:5", "carnielli-L:3", "matthews")),
+    gx.validate(2, [(1, 0), (-3, 1)]),
+    gx.validate(2, [(1, 0), (4, 4)]),       # |A_2| = 4 = d^2 on r = 3 mod 4: no drop
+], ids=str)
+def test_drop_rows_give_the_first_drop_below_the_start(mapping):
+    engine = Engine(mapping)
+    K, D, d = engine.K, engine.D, mapping.d
+    rows = engine.drop_table()
+    assert len(rows) == D and engine.drop_table() is rows
+
+    def orbit(start, steps):
+        xs = [start]
+        for _ in range(steps):
+            xs.append(mapping.apply(xs[-1])[0])
+        return xs
+
+    for r, row in enumerate(rows):
+        x, slope, j = r, 1, None
+        for i in range(1, K + 1):
+            x, b = mapping.apply(x)
+            slope *= mapping.branches[b][0]
+            if abs(slope) <= d ** i:
+                j = i if abs(slope) < d ** i else None
+                break
+        if row is None:
+            assert j is None
+            continue
+        assert row[0] == j
+        _, a, t, low, up, cb = row
+        for q in (-2**70, -3, -1, 0, 1, 2, 2**70):
+            xs = orbit(D * q + r, j)
+            assert xs[j] == a * q + t
+            assert all(abs(v) * D <= up * abs(xs[0]) + cb for v in xs[:j])
+        # the least start of the class at or past low in each sign
+        for start in (low + (r - low) % D, -low - (-low - r) % D):
+            xs = orbit(start, j)
+            assert all(abs(v) > abs(start) for v in xs[1:j]) and abs(xs[j]) < abs(start)
+
+
+def test_jump_table_waits_for_steps_beyond_far(t31, g):
+    # on this range ten walks pass far, for 13 steps in all: no table
+    with mock.patch.object(Engine, "jump_table", side_effect=AssertionError):
+        gx.search_range(t31, -37860, 42140, max_steps=100000)
+    with mock.patch.object(Engine, "jump_table", autospec=True,
+                           side_effect=Engine.jump_table) as built:
+        gx.search_range(g, 165, 3164, max_steps=1000)
+    assert built.called
 
 
 def test_no_jump_table_past_modulus_32():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gx1cycles as gx
-from gx1cycles import cycles, search
+from gx1cycles import _backend, cycles, search
 from gx1cycles._backend import NEW_CYCLE, Engine
 
 
@@ -214,9 +214,11 @@ def test_far_walk_matches_the_plain_walk(mapping, start, max_steps, cut, window,
     far = engine.far(reach, max_magnitude)
     assert min(reach, max_magnitude) <= far <= max_magnitude
     plain = engine.walk_brent(start, max_steps, max_magnitude, members, memo, base)
-    for f in (reach, far):
-        assert engine.walk_brent(start, max_steps, max_magnitude, members, memo, base,
-                                 far=f) == plain, f
+    # jump from the first iterate beyond far, not only after _JUMP_AFTER steps
+    with mock.patch.object(_backend, "_JUMP_AFTER", 0):
+        for f in (reach, far):
+            assert engine.walk_brent(start, max_steps, max_magnitude, members, memo, base,
+                                     far=f) == plain, f
 
 
 def test_negative_multiplier_mapping_end_to_end():
@@ -282,6 +284,10 @@ def _reference_search(mapping, lo, hi, max_steps, max_magnitude):
 @example(gx.validate(2, [(1, 0), (1, 1)]), 1, 2, 2, 10, 1)
 # starts deferred before a cycle is registered, which they then enter
 @example(gx.matthews_4branch(), -40, 81, 8, 10**30, 1 << 17)
+# a start that reached a deferred start takes the entry of the first start
+# of that chain, shifted by every step between them
+@example(gx.three_x_plus_one(), -172, 167, 7, 10**30, 1 << 17)
+@example(gx.mapping_from_name("carnielli-L:3"), 40, 89, 25, 10**30, 1 << 17)
 # max_steps too wide to pack into a memo entry: the search runs without a memo
 @example(gx.collatz(), 1, 180, 2**60, 10**30, 1 << 17)
 @example(gx.three_x_plus_one(), -150, 301, 2**60, 10**30, 1 << 17)
@@ -296,3 +302,36 @@ def test_search_matches_a_memo_free_reference(mapping, lo, width, max_steps,
     reference = _reference_search(mapping, lo, hi, max_steps, max_magnitude)
     assert report == reference
     assert report.to_json() == reference.to_json()
+
+
+@given(small_mappings() | st.sampled_from(_FAMILIES), st.integers(-400, 300), st.integers(1, 500),
+       st.sampled_from([1, 2, 3, 10**5]) | st.integers(0, 12),
+       st.sampled_from([10**30]) | st.integers(1, 10**4),
+       st.sampled_from([1, 16, 1 << 17]))
+# a magnitude cutoff below iterates before the drop, and below some starts
+@example(gx.three_x_plus_one(), -300, 601, 10**5, 400, 1 << 17)
+# the cycle of -17 reaches -272: members above the starts that hit them
+@example(gx.three_x_plus_one(), -300, 601, 10**5, 10**30, 1 << 17)
+# drops out of the memo window: below lo on an asymmetric range of a
+# sign-flipping mapping, and past a window of 16 starts
+@example(gx.validate(2, [(1, 0), (-3, 1)]), -20, 321, 10**5, 10**30, 1 << 17)
+@example(gx.three_x_plus_one(), -300, 601, 10**5, 10**30, 16)
+# a budget below the step of most drops
+@example(gx.three_x_plus_one(), -300, 601, 2, 10**30, 1 << 17)
+# max_steps too wide to pack into a memo entry: no memo, so no sieve
+@example(gx.three_x_plus_one(), -300, 601, 2**60, 10**30, 1 << 17)
+@settings(max_examples=150, deadline=None)
+def test_sieve_matches_the_plain_walk(mapping, lo, width, max_steps, max_magnitude, cap):
+    """Starts settled from the stopping-time rows get the outcome and step
+    count of their walk, whatever the range, memo window and cutoffs."""
+    hi = lo + width - 1
+    reports = []
+    for span in (0, 1 << 62):       # the sieve on every range, then on none
+        with mock.patch.multiple(search, _SIEVE_SPAN=span, _MEMO_CAP=cap):
+            reports.append(gx.search_range(mapping, lo, hi, max_steps=max_steps,
+                                           max_magnitude=max_magnitude))
+    sieved, plain = reports
+    assert plain.meta["sieved"] == 0
+    assert sieved == plain
+    assert sieved.to_json() == plain.to_json()
+    assert sieved.meta["steps"] == plain.meta["steps"]

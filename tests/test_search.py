@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 import gx1cycles as gx
 from gx1cycles import search
+from gx1cycles._backend import Engine
 from gx1cycles.nodes import COLLATZ_FAMILY, THREE_X1_FAMILY
 
 
@@ -127,6 +129,36 @@ class TestTallySkip:
         report = gx.search_range(g, 101, 3100, max_steps=1000)
         assert report.meta["tally_skips"] == 1844
         assert report.meta["steps"] < 700_000
+
+    def test_a_start_that_reached_a_deferred_start_takes_its_entry(self, mat):
+        # such a start takes the outcome of the first start of its chain,
+        # shifted by the steps between them, with no second walk (a walk
+        # from itself took 69,597 steps in all)
+        report = gx.search_range(mat, -3000, 3000, max_steps=50)
+        assert report.meta["steps"] == 51_418
+        assert report.tallies == {"entered": 1413, "step_cutoff": 4588,
+                                  "magnitude_cutoff": 0}
+        assert report.hits == {0: 7, -3: 640, 2: 12, 3: 112, -23: 63, -2079: 279,
+                               -1756: 15, -623: 104, -583: 12, -991: 13, -1388: 37,
+                               -1416: 109, 5127: 10}
+        assert report.catalog.min_elements() == (-3, 0, 2, -23, 3, -1756, -1416, -1388,
+                                                 -991, -623, -583, -2079, 5127)
+        assert [c.period for c in report.catalog.cycles] == [1, 1, 1, 2, 2, 4, 4, 4, 4,
+                                                             4, 4, 8, 14]
+
+
+class TestSieve:
+    def test_settles_most_starts_of_a_wide_3x1_range_without_a_walk(self, t31):
+        report = gx.search_range(t31, -37860, 42140, max_steps=100000)
+        assert report.meta["sieved"] == 74_759
+        assert report.meta["steps"] == 277_733     # as the walks count them
+        assert report.tallies["entered"] == 80_001
+
+    def test_small_ranges_build_no_table(self, t31):
+        with mock.patch.object(Engine, "drop_table", side_effect=AssertionError):
+            report = gx.search_range(t31, -500, 500, max_steps=100000)
+            node = gx.search_node(t31, _node(THREE_X1_FAMILY, 12, 7))
+        assert report.meta["sieved"] == node.meta["sieved"] == 0
 
 
 class TestSearchNode:
